@@ -9,8 +9,9 @@ differ between snapshots and are scrubbed before comparing:
 
   * timers — wall-clock time, the one non-deterministic thing in a snapshot
     (same exclusion the seeded-fault replay gates use); this covers the
-    keepalive round-trip timer node.peer.rtt, while the node.peer.*
-    counters stay compared like every other aggregate;
+    mining-hub merge timer node.merge and the keepalive round-trip timer
+    node.peer.rtt, while the node.peer.* counters stay compared like every
+    other aggregate;
   * the per-shard node.shard.<i>.* family — WHICH shard handled a frame
     depends on the connection-to-shard pinning, so per-shard attribution
     varies with --threads even though every aggregate is invariant.

@@ -132,7 +132,7 @@ NODE_COUNTERS = {
     "node.checkpoints",
 }
 NODE_GAUGES = {"node.connections", "node.rules"}
-NODE_TIMERS = {"node.process", "node.peer.rtt"}
+NODE_TIMERS = {"node.process", "node.merge", "node.peer.rtt"}
 
 # The lsm.* family (docs/STORAGE.md, docs/OBSERVABILITY.md) is a closed
 # set: the tiered store registers exactly these names lazily, so a run

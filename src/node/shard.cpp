@@ -377,6 +377,8 @@ void Shard::mine_pair(const trace::QueryReplyPair& pair) {
     shared_.archive->add(pair.source_host, pair.replying_neighbor, 1);
   }
   if (shared_.hub->note_pair()) {
+    static obs::Timer& timer = obs::Registry::global().timer("node.merge");
+    const obs::Timer::Scope scope(timer);
     shared_.hub->merge(shared_.windows, *shared_.peers.list());
   }
 }
@@ -704,7 +706,7 @@ void Shard::close_connection(int fd) {
     shared_.peers.remove(connection.id);
     // A departed neighbor's pairs would keep routing queries at a dead
     // socket; purge them from the published snapshot immediately (its
-    // window pairs on every shard are pruned at the next merge).
+    // pairs still pending on any shard are dropped at the next merge).
     shared_.hub->purge(connection.id);
   }
   if (connection.outbound_link) {

@@ -1,7 +1,7 @@
 #include "node/snapshot.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <utility>
 
 namespace aar::node {
 
@@ -38,7 +38,9 @@ void PeerDirectory::remove(NeighborId id) {
   auto next = std::make_shared<PeerList>(*list_);
   next->erase(std::remove_if(next->begin(), next->end(),
                              [id](const std::shared_ptr<Peer>& entry) {
-                               return entry->id == id;
+                               if (entry->id != id) return false;
+                               entry->departed.store(true);
+                               return true;
                              }),
               next->end());
   list_ = std::move(next);
@@ -52,57 +54,47 @@ std::shared_ptr<const PeerList> PeerDirectory::list() const {
 
 void ShardWindow::append(const trace::QueryReplyPair& pair) {
   std::lock_guard<std::mutex> lock(mu_);
-  pairs_.push_back(pair);
+  pending_.push_back(pair);
 }
 
-void ShardWindow::collect(const std::vector<NeighborId>& live,
-                          std::vector<trace::QueryReplyPair>& out) {
-  const auto alive = [&live](NeighborId id) {
-    return std::binary_search(live.begin(), live.end(), id);
-  };
+void ShardWindow::take(std::vector<trace::QueryReplyPair>& out) {
+  out.clear();
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = pairs_.begin(); it != pairs_.end();) {
-    if (alive(static_cast<NeighborId>(it->source_host)) &&
-        alive(static_cast<NeighborId>(it->replying_neighbor))) {
-      out.push_back(*it);
-      ++it;
-    } else {
-      it = pairs_.erase(it);
-    }
-  }
-}
-
-void ShardWindow::trim_before(double cutoff) {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (!pairs_.empty() && pairs_.front().time < cutoff) pairs_.pop_front();
+  pending_.swap(out);
 }
 
 MiningHub::MiningHub(mining::MinerConfig config, std::size_t rebuild_every,
                      std::size_t shards)
     : rebuild_every_(rebuild_every == 0 ? 1 : rebuild_every),
       miner_(config),
-      merger_(shards),
+      taken_(shards),
       snapshot_(std::make_shared<const RoutingSnapshot>()) {}
 
 void MiningHub::merge(std::vector<ShardWindow>& windows,
                       const PeerList& live) {
-  std::vector<NeighborId> ids;
-  ids.reserve(live.size());
-  for (const std::shared_ptr<Peer>& peer : live) ids.push_back(peer->id);
+  const auto alive = [&live](trace::HostId id) {
+    const std::shared_ptr<Peer>* peer =
+        find_peer(live, static_cast<NeighborId>(id));
+    return peer != nullptr && !(*peer)->departed.load();
+  };
 
   std::lock_guard<std::mutex> lock(mu_);
+  if (taken_.size() < windows.size()) taken_.resize(windows.size());
+  delta_.clear();
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    auto& input = merger_.input(i);
-    input.clear();
-    windows[i].collect(ids, input);
+    windows[i].take(taken_[i]);
+    for (const trace::QueryReplyPair& pair : taken_[i]) {
+      if (alive(pair.source_host) && alive(pair.replying_neighbor)) {
+        delta_.push_back(pair);
+      }
+    }
   }
-  const std::span<const trace::QueryReplyPair> block =
-      merger_.merge_into(miner_);
-  const double cutoff = block.empty()
-                            ? std::numeric_limits<double>::infinity()
-                            : block.front().time;
-  for (ShardWindow& window : windows) window.trim_before(cutoff);
-  since_merge_.store(0, std::memory_order_release);
+  std::sort(delta_.begin(), delta_.end(),
+            [](const trace::QueryReplyPair& a, const trace::QueryReplyPair& b) {
+              if (a.time != b.time) return a.time < b.time;
+              return a.guid < b.guid;
+            });
+  miner_.add(delta_);  // FIFO eviction at the mining window
   publish_locked();
 }
 
@@ -129,14 +121,18 @@ void MiningHub::restore_window(std::span<const trace::QueryReplyPair> pairs) {
 }
 
 std::shared_ptr<const RoutingSnapshot> MiningHub::routing() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
   return snapshot_;
 }
 
 void MiningHub::publish_locked() {
   auto next = std::make_shared<RoutingSnapshot>();
   next->rules = miner_.snapshot();  // canonical (sorted) rule state
-  snapshot_ = std::move(next);
+  std::shared_ptr<const RoutingSnapshot> old;  // released after the unlock
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    old = std::exchange(snapshot_, std::move(next));
+  }
   snapshots_.fetch_add(1, std::memory_order_relaxed);
   version_.fetch_add(1, std::memory_order_acq_rel);
 }

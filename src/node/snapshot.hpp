@@ -19,26 +19,30 @@
 //     by the owning shard's retry ladder and read by every shard's
 //     rule-target filter.
 //   * MiningHub — the miner behind the aar::par shape.  Shards append
-//     observed pairs to their own ShardWindow; every `rebuild_every` pairs
-//     the crossing shard performs a canonical merge (gather shard windows
-//     in shard-index order, sort by capture time, truncate to the mining
-//     window, IncrementalRuleMiner::replace_window) and publishes the
-//     snapshot rule set as an immutable RoutingSnapshot via pointer swap.
-//     Relay never blocks on mining: queries route against the last
-//     published snapshot.
+//     observed pairs to their own ShardWindow, a pending buffer of the
+//     pairs not yet handed over; the caller crossing each `rebuild_every`
+//     boundary performs the merge: swap every shard's pending buffer out
+//     (O(1) per shard), drop pairs naming departed peers, order the delta
+//     by (capture time, folded GUID), feed it through
+//     IncrementalRuleMiner::add (FIFO eviction at the mining window) and
+//     publish the snapshot rule set as an immutable RoutingSnapshot via
+//     pointer swap.  A merge costs O(delta), not O(window).  Relay never
+//     blocks on mining: queries route against the last published
+//     snapshot, read without the merge lock.
 //
 // Determinism: capture time is a global atomic message counter, so every
-// observed pair carries a unique timestamp; the merged block is the
-// time-sorted union of the shard windows, which is invariant under the
-// connection-to-shard partition.  RuleSet serialization is canonical
-// (sorted), so the published rule bytes depend only on the window's pair
-// multiset — the same argument that makes aar::par byte-identical to the
-// serial miner for any shard count.
+// observed pair carries a unique timestamp.  When pairs are handed over in
+// capture-time order (always under `replay --lockstep`), the miner's window
+// is the newest `window` live pairs in (time, GUID) order, invariant under
+// the connection-to-shard partition; RuleSet serialization is canonical
+// (sorted), so the published rule bytes depend only on that window.  The
+// one deviation is at full speed: two shards can race, and a pair whose
+// tick is older than a pair already merged is applied in its (time, GUID)
+// place within the next delta, i.e. after every pair merged before it.
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -48,7 +52,6 @@
 #include "core/ruleset.hpp"
 #include "gnutella/capture.hpp"
 #include "mining/incremental_miner.hpp"
-#include "mining/window_merge.hpp"
 #include "trace/record.hpp"
 
 namespace aar::lsm {
@@ -98,11 +101,14 @@ class QueryTable {
 
 /// One live neighbor connection as every shard sees it.  `stalled` is
 /// written by the owning shard's send ladder and read by rule-target
-/// filters on all shards.
+/// filters on all shards.  `departed` is set by PeerDirectory::remove
+/// before the disconnect purge, so a merge handed an older roster still
+/// drops the peer's pairs.
 struct Peer {
   NeighborId id = 0;
   std::uint32_t shard = 0;
   std::atomic<bool> stalled{false};
+  std::atomic<bool> departed{false};
 };
 
 /// Immutable, id-sorted roster published on every accept/disconnect.
@@ -133,24 +139,18 @@ class PeerDirectory {
   std::atomic<std::uint64_t> version_{1};
 };
 
-/// One shard's private window of observed query/reply pairs, appended on
-/// the shard thread and gathered under the merge lock.  Pairs naming
-/// departed peers are pruned lazily at gather time; after each merge the
-/// window is trimmed to the merged block's oldest timestamp so per-shard
-/// storage stays bounded by window + rebuild_every.
+/// One shard's pending pairs: appended on the shard thread, handed over
+/// to the hub at each merge by an O(1) buffer swap.
 class ShardWindow {
  public:
   void append(const trace::QueryReplyPair& pair);
-  /// Copy live pairs (both endpoints in the id-sorted `live` roster) into
-  /// `out`, erasing dead pairs in place.
-  void collect(const std::vector<NeighborId>& live,
-               std::vector<trace::QueryReplyPair>& out);
-  /// Drop pairs with time < cutoff (already merged out of the window).
-  void trim_before(double cutoff);
+  /// Swap the pending pairs into `out` (cleared first), leaving `out`'s
+  /// old buffer behind so both keep their capacity.
+  void take(std::vector<trace::QueryReplyPair>& out);
 
  private:
   std::mutex mu_;
-  std::deque<trace::QueryReplyPair> pairs_;
+  std::vector<trace::QueryReplyPair> pending_;
 };
 
 /// The published routing state: the rule set shards forward against.
@@ -160,22 +160,24 @@ struct RoutingSnapshot {
 
 /// Owns the miner and the published RoutingSnapshot.  All mutation happens
 /// under one merge mutex (count-boundary merges and disconnect purges);
-/// readers take the current snapshot through an atomic version + pointer.
+/// readers take the current snapshot through an atomic version plus a
+/// pointer behind its own tiny lock, never the merge mutex.
 class MiningHub {
  public:
   MiningHub(mining::MinerConfig config, std::size_t rebuild_every,
             std::size_t shards);
 
-  /// Account one observed pair; true when this pair crosses the
-  /// rebuild_every boundary and the caller must merge().
+  /// Account one observed pair; true for exactly one caller per
+  /// rebuild_every pairs — the one that must merge().
   [[nodiscard]] bool note_pair() noexcept {
-    return since_merge_.fetch_add(1, std::memory_order_acq_rel) + 1 >=
-           rebuild_every_;
+    return (noted_.fetch_add(1, std::memory_order_acq_rel) + 1) %
+               rebuild_every_ ==
+           0;
   }
 
-  /// Canonical merge: gather every shard window (shard-index order), prune
-  /// dead peers, sort by capture time, truncate to the mining window,
-  /// replace_window + snapshot, publish.
+  /// Delta merge: take every shard's pending pairs, drop those naming a
+  /// peer that is not live (absent from `live` or already departed), sort
+  /// by (time, GUID), add them to the miner, snapshot, publish.
   void merge(std::vector<ShardWindow>& windows, const PeerList& live);
 
   /// Disconnect purge: drop `host`'s pairs from the miner and republish —
@@ -208,13 +210,16 @@ class MiningHub {
   void publish_locked();
 
   const std::size_t rebuild_every_;
-  std::atomic<std::uint64_t> since_merge_{0};
+  std::atomic<std::uint64_t> noted_{0};
   std::atomic<std::uint64_t> snapshots_{0};
   std::atomic<std::uint64_t> version_{1};
 
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  // merge mutex: miner_ and the scratch buffers
   mining::IncrementalRuleMiner miner_;
-  mining::WindowMerger merger_;
+  std::vector<std::vector<trace::QueryReplyPair>> taken_;  // per shard
+  std::vector<trace::QueryReplyPair> delta_;
+
+  mutable std::mutex snapshot_mu_;  // guards only the snapshot_ pointer
   std::shared_ptr<const RoutingSnapshot> snapshot_;
 };
 

@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,13 @@ struct FlushCase {
   int fire_at;
   bool durable_after;  ///< crash lands after the manifest install
 };
+
+// Without this, gtest prints the struct as raw bytes: the point's address and
+// the padding. gtest_discover_tests bakes that into the ctest names, which
+// then change whenever the test binary's layout does.
+void PrintTo(const FlushCase& kill, std::ostream* os) {
+  *os << kill.point << " hit " << kill.fire_at;
+}
 
 class LsmKillPointFlush : public ::testing::TestWithParam<FlushCase> {};
 

@@ -5,11 +5,11 @@
 #include <algorithm>
 #include <deque>
 #include <sstream>
+#include <string>
 #include <vector>
 
-#include "mining/window_merge.hpp"
-
 #include "core/strategy.hpp"
+#include "node/snapshot.hpp"
 #include "overlay/assoc_policy.hpp"
 #include "util/rng.hpp"
 
@@ -298,115 +298,104 @@ TEST(MinerBackedPolicy, RulesEqualBatchOverObservationWindow) {
   EXPECT_EQ(policy.miner().window_size(), window.size());
 }
 
-// --- WindowMerger: canonical shard-window merge (node daemon) ------------
+// --- MiningHub: the node daemon's delta merge vs a serial miner ----------
 
-/// A deterministic pair stream with globally unique times, the shape the
-/// sharded daemon feeds the merger (time = global message counter).
-std::vector<QueryReplyPair> timed_pairs(std::size_t n, std::uint64_t seed) {
+/// One random scenario: pairs appended to random shards in capture order,
+/// merges at every note_pair() boundary plus random extra ones, disconnect
+/// purges interleaved (pairs naming departed hosts keep arriving and must
+/// be dropped).  After every merge and purge the hub's published rule
+/// bytes equal a serial miner fed the same live pairs in (time, GUID)
+/// order and purged at the same points.
+void expect_hub_matches_serial(std::size_t shards, std::size_t window,
+                               std::uint64_t seed) {
+  constexpr HostId kHosts = 12;
+  const MinerConfig config{.window = window, .min_support = 2};
+  node::PeerDirectory peers;
+  for (HostId h = 1; h <= kHosts; ++h) {
+    (void)peers.add(h, static_cast<std::uint32_t>(h % shards));
+  }
+  std::vector<node::ShardWindow> windows(shards);
+  node::MiningHub hub(config, /*rebuild_every=*/16, shards);
+  IncrementalRuleMiner serial(config);
+  std::vector<QueryReplyPair> pending;  // appended, not yet merged
+  std::vector<bool> dead(kHosts + 1, false);
   util::Rng rng(seed);
-  std::vector<QueryReplyPair> pairs;
-  pairs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pairs.push_back(QueryReplyPair{
+  std::size_t merges = 0;
+
+  const auto merge = [&] {
+    hub.merge(windows, *peers.list());
+    for (const QueryReplyPair& pair : pending) {
+      if (!dead[pair.source_host] && !dead[pair.replying_neighbor]) {
+        serial.add(pair);
+      }
+    }
+    pending.clear();
+    ++merges;
+    ASSERT_EQ(saved(hub.routing()->rules), saved(serial.snapshot()))
+        << "merge " << merges;
+  };
+
+  for (std::size_t i = 0; i < 1500; ++i) {
+    const QueryReplyPair pair{
         .time = static_cast<double>(i + 1),
         .guid = seed * 1'000'003 + i,
-        .source_host = static_cast<HostId>(rng.below(12)),
-        .replying_neighbor = static_cast<HostId>(rng.below(6)),
-    });
+        .source_host = static_cast<HostId>(1 + rng.below(kHosts)),
+        .replying_neighbor = static_cast<HostId>(1 + rng.below(kHosts))};
+    windows[rng.below(shards)].append(pair);
+    pending.push_back(pair);
+    if (hub.note_pair()) merge();
+    if (rng.below(97) == 0) merge();
+    if (rng.below(211) == 0) {
+      const auto host = static_cast<HostId>(1 + rng.below(kHosts));
+      if (dead[host]) continue;
+      dead[host] = true;
+      peers.remove(static_cast<node::NeighborId>(host));
+      hub.purge(static_cast<node::NeighborId>(host));
+      (void)serial.purge_host(host);
+      ASSERT_EQ(saved(hub.routing()->rules), saved(serial.snapshot()))
+          << "purge of host " << host;
+    }
   }
-  return pairs;
+  EXPECT_GT(merges, 1500u / 16);
+  EXPECT_EQ(hub.window_pairs().size(), serial.window_size());
 }
 
-TEST(WindowMerger, MergeEqualsSerialAddForAnyShardCount) {
-  const std::vector<QueryReplyPair> pairs = timed_pairs(300, 11);
-  const MinerConfig config{.window = 1024, .min_support = 2};
-
-  IncrementalRuleMiner serial(config);
-  for (const QueryReplyPair& pair : pairs) serial.add(pair);
-  const std::string expected = saved(serial.snapshot());
-
-  for (const std::size_t shards : {1u, 2u, 5u}) {
-    WindowMerger merger(shards);
-    // Scatter round-robin: each shard holds its pairs in time order, like a
-    // daemon shard's private window.
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      merger.input(i % shards).push_back(pairs[i]);
-    }
-    IncrementalRuleMiner merged(config);
-    const auto block = merger.merge_into(merged);
-    ASSERT_EQ(block.size(), pairs.size());
-    EXPECT_TRUE(std::is_sorted(
-        block.begin(), block.end(),
-        [](const auto& a, const auto& b) { return a.time < b.time; }));
-    EXPECT_EQ(saved(merged.snapshot()), expected) << "shards=" << shards;
-    EXPECT_EQ(merged.window_size(), serial.window_size());
-  }
-}
-
-TEST(WindowMerger, MergedRulesAreInvariantUnderThePartition) {
-  const std::vector<QueryReplyPair> pairs = timed_pairs(240, 23);
-  const MinerConfig config{.window = 1024, .min_support = 2};
-
-  std::string reference;
-  // Three partitions of the same multiset: round-robin, contiguous chunks,
-  // and everything-on-one-shard.
-  for (int mode = 0; mode < 3; ++mode) {
-    WindowMerger merger(3);
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const std::size_t shard = mode == 0   ? i % 3
-                                : mode == 1 ? i / ((pairs.size() / 3) + 1)
-                                            : 0;
-      merger.input(shard).push_back(pairs[i]);
-    }
-    IncrementalRuleMiner miner(config);
-    (void)merger.merge_into(miner);
-    const std::string bytes = saved(miner.snapshot());
-    if (mode == 0) {
-      reference = bytes;
-      EXPECT_FALSE(reference.empty());
-    } else {
-      EXPECT_EQ(bytes, reference) << "partition mode " << mode;
+TEST(MiningHubDelta, PublishedRulesEqualSerialMinerAcrossShardsWindowsPurges) {
+  std::uint64_t seed = 1;
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    // Unbounded, and two windows the 1500-pair stream overflows.
+    for (const std::size_t window : {0u, 64u, 300u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " window=" + std::to_string(window));
+      expect_hub_matches_serial(shards, window, seed++);
     }
   }
 }
 
-TEST(WindowMerger, TruncationKeepsTheNewestPairsLikeASlidingWindow) {
-  const std::vector<QueryReplyPair> pairs = timed_pairs(300, 31);
-  const MinerConfig config{.window = 100, .min_support = 2};
-
-  // Serial reference: a bounded miner that saw every pair in time order and
-  // slid its window as it went.
-  IncrementalRuleMiner serial(config);
-  for (const QueryReplyPair& pair : pairs) serial.add(pair);
-  ASSERT_EQ(serial.window_size(), config.window);
-
-  WindowMerger merger(2);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    merger.input(i % 2).push_back(pairs[i]);
+TEST(MiningHubDelta, LatePairJoinsTheNextDeltaInItsTimeOrder) {
+  node::PeerDirectory peers;
+  (void)peers.add(1, 0);
+  (void)peers.add(2, 1);
+  std::vector<node::ShardWindow> windows(2);
+  node::MiningHub hub({.window = 8, .min_support = 1}, 64, 2);
+  const auto timed = [](double time, trace::Guid guid) {
+    QueryReplyPair pair = pair_of(1, 2, guid);
+    pair.time = time;
+    return pair;
+  };
+  windows[1].append(timed(2.0, 20));
+  hub.merge(windows, *peers.list());
+  // Shard 0 lost the race: its older tick lands after the merged pair,
+  // ordered among the next delta by (time, GUID).
+  windows[0].append(timed(3.0, 30));
+  windows[0].append(timed(1.0, 10));
+  windows[1].append(timed(1.0, 5));
+  hub.merge(windows, *peers.list());
+  std::vector<trace::Guid> order;
+  for (const QueryReplyPair& pair : hub.window_pairs()) {
+    order.push_back(pair.guid);
   }
-  IncrementalRuleMiner merged(config);
-  const auto block = merger.merge_into(merged);
-  ASSERT_EQ(block.size(), config.window);
-  // The truncated block is exactly the newest `window` pairs.
-  EXPECT_EQ(block.front().time, pairs[pairs.size() - config.window].time);
-  EXPECT_EQ(block.back().time, pairs.back().time);
-  EXPECT_EQ(saved(merged.snapshot()), saved(serial.snapshot()));
-}
-
-TEST(WindowMerger, InputsSurviveTheMergeAndEmptyMergeClears) {
-  WindowMerger merger(2);
-  merger.input(0).push_back(pair_of(1, 2, 5));
-  merger.input(0).back().time = 1.0;
-  IncrementalRuleMiner miner({.window = 8, .min_support = 1});
-  (void)merger.merge_into(miner);
-  EXPECT_EQ(miner.window_size(), 1u);
-  // Inputs are the shards' windows — the merger must not consume them.
-  EXPECT_EQ(merger.input(0).size(), 1u);
-
-  merger.input(0).clear();
-  (void)merger.merge_into(miner);
-  EXPECT_EQ(miner.window_size(), 0u);
-  EXPECT_TRUE(miner.snapshot().empty());
+  EXPECT_EQ(order, (std::vector<trace::Guid>{20, 5, 10, 30}));
 }
 
 }  // namespace

@@ -4,13 +4,16 @@
 // rule-routed hits), shard-count invariance of stats and mined rule bytes
 // under a lockstep driver, disconnect purges across shards, the plain-text
 // admin endpoint, the send-stall ladder against a peer that stops reading,
-// the loopback-only default bind, and the aar_node CLI's flag validation
-// (driven through the real binary).
+// the loopback-only default bind, the mining hub's merge boundaries (one
+// merge per rebuild_every pairs across threads, stale-roster purges,
+// restored windows), and the aar_node CLI's flag validation (driven
+// through the real binary).
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +28,7 @@
 #include "node/daemon.hpp"
 #include "node/net.hpp"
 #include "node/replay.hpp"
+#include "node/snapshot.hpp"
 #include "util/rng.hpp"
 
 namespace aar::node {
@@ -512,6 +516,106 @@ TEST(NodeDaemon, DisconnectPurgesDeadPeersFromPublishedRulesAcrossShards) {
   const core::RuleSet after = published();
   EXPECT_FALSE(routes_at(after, 2, 3)) << "purge left a rule at dead peer 3";
   EXPECT_FALSE(routes_at(after, 3, 4)) << "purge left a rule at dead peer 4";
+}
+
+// --- mining hub merge boundaries -----------------------------------------
+
+TEST(NodeMiningHub, NotePairFiresOncePerBoundaryWithoutAMerge) {
+  MiningHub hub({.window = 4096, .min_support = 2}, 64, 1);
+  for (int i = 1; i <= 64; ++i) {
+    EXPECT_EQ(hub.note_pair(), i == 64) << "pair " << i;
+  }
+  // No merge ran: the 65th pair must not claim the boundary again.
+  EXPECT_FALSE(hub.note_pair());
+  for (int i = 66; i < 128; ++i) EXPECT_FALSE(hub.note_pair()) << "pair " << i;
+  EXPECT_TRUE(hub.note_pair());
+}
+
+TEST(NodeMiningHub, ConcurrentShardsMergeOncePerBoundaryAndReadersNeverBlock) {
+  constexpr std::size_t kShards = 2;
+  constexpr std::size_t kPerShard = 4000;
+  constexpr std::size_t kRebuild = 64;
+  PeerDirectory peers;
+  for (NeighborId id = 1; id <= 4; ++id) {
+    (void)peers.add(id, static_cast<std::uint32_t>((id - 1) % kShards));
+  }
+  std::vector<ShardWindow> windows(kShards);
+  MiningHub hub({.window = 4096, .min_support = 2}, kRebuild, kShards);
+  std::atomic<std::uint64_t> clock{0};
+  std::atomic<bool> done{false};
+
+  // A reader polling the published snapshot the way a shard's relay path
+  // does, racing every merge (TSan covers this suite).
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      (void)hub.routing()->rules.num_rules();
+    }
+  });
+  std::vector<std::thread> shards;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    shards.emplace_back([&, s] {
+      util::Rng rng(s + 1);
+      for (std::size_t i = 0; i < kPerShard; ++i) {
+        const std::uint64_t tick = clock.fetch_add(1) + 1;
+        windows[s].append(trace::QueryReplyPair{
+            .time = static_cast<double>(tick),
+            .guid = tick,
+            .source_host = static_cast<trace::HostId>(1 + rng.below(4)),
+            .replying_neighbor = static_cast<trace::HostId>(1 + rng.below(4))});
+        if (hub.note_pair()) hub.merge(windows, *peers.list());
+      }
+    });
+  }
+  for (std::thread& shard : shards) shard.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(hub.snapshots(), kShards * kPerShard / kRebuild);
+  hub.merge(windows, *peers.list());
+  EXPECT_EQ(hub.window_pairs().size(), 4096u);
+}
+
+TEST(NodeMiningHub, MergeWithAStaleRosterStillDropsADepartedPeer) {
+  PeerDirectory peers;
+  (void)peers.add(1, 0);
+  (void)peers.add(2, 0);
+  std::vector<ShardWindow> windows(1);
+  MiningHub hub({.window = 64, .min_support = 1}, 16, 1);
+  windows[0].append(trace::QueryReplyPair{
+      .time = 1.0, .guid = 1, .source_host = 1, .replying_neighbor = 2});
+  // A merging shard fetched the roster, then neighbor 2 disconnected and
+  // was purged before the merge took the lock.
+  const std::shared_ptr<const PeerList> stale = peers.list();
+  peers.remove(2);
+  hub.purge(2);
+  hub.merge(windows, *stale);
+  EXPECT_TRUE(hub.window_pairs().empty());
+  EXPECT_TRUE(hub.routing()->rules.empty());
+}
+
+TEST(NodeMiningHub, RestoredWindowSurvivesTheNextMerge) {
+  PeerDirectory peers;
+  (void)peers.add(1, 0);
+  (void)peers.add(2, 0);
+  std::vector<ShardWindow> windows(1);
+  MiningHub hub({.window = 64, .min_support = 1}, 16, 1);
+  const auto pair_at = [](double time) {
+    return trace::QueryReplyPair{.time = time,
+                                 .guid = static_cast<std::uint64_t>(time),
+                                 .source_host = 1,
+                                 .replying_neighbor = 2};
+  };
+  // A checkpointed window, restored before serving starts.
+  std::vector<trace::QueryReplyPair> restored;
+  for (int t = 1; t <= 10; ++t) restored.push_back(pair_at(t));
+  hub.restore_window(restored);
+  // Fresh traffic extends the restored window instead of replacing it.
+  for (int t = 11; t <= 26; ++t) windows[0].append(pair_at(t));
+  hub.merge(windows, *peers.list());
+  const std::vector<trace::QueryReplyPair> window = hub.window_pairs();
+  ASSERT_EQ(window.size(), 26u);
+  EXPECT_EQ(window.front().time, 1.0);
+  EXPECT_EQ(window.back().time, 26.0);
 }
 
 // --- CLI flag validation (real binary) -----------------------------------

@@ -115,8 +115,11 @@ Capture capture_engine(const fault::Scenario& scenario, bool faulted,
   return capture;
 }
 
+// The policy is a std::string, not a const char*: gtest prints a const char*
+// with its address, which would make the discovered ctest names change with
+// every build.
 class SimDifferential
-    : public ::testing::TestWithParam<std::pair<const char*, bool>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, bool>> {};
 
 TEST_P(SimDifferential, EngineMatchesLegacyForAllThreadCounts) {
   const auto [policy, faulted] = GetParam();

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <set>
 
 namespace aar::workload {
@@ -173,6 +174,23 @@ TEST(LocalStore, HasAndInsert) {
 }
 
 // --- Churn models ------------------------------------------------------------
+
+}  // namespace
+
+// gtest prints a shared_ptr parameter by its address, and gtest_discover_tests
+// bakes that printed value into the ctest names, so they would change with
+// every build. Print the model's kind and mean instead. Declared outside the
+// anonymous namespace so argument-dependent lookup finds it.
+void PrintTo(const std::shared_ptr<ChurnModel>& model, std::ostream* os) {
+  const ChurnModel* raw = model.get();
+  const char* kind = dynamic_cast<const ExponentialChurn*>(raw) ? "exponential"
+                     : dynamic_cast<const ParetoChurn*>(raw)    ? "pareto"
+                     : dynamic_cast<const TwoClassChurn*>(raw)  ? "two-class"
+                                                                : "other";
+  *os << kind << " mean " << raw->mean_lifetime();
+}
+
+namespace {
 
 class ChurnMeanSweep
     : public ::testing::TestWithParam<std::shared_ptr<ChurnModel>> {};
