@@ -11,17 +11,24 @@ Network make_network(const ExperimentConfig& config,
   return Network(net, std::move(graph), factory);
 }
 
+QueryDraw draw_query(Network& network, util::Rng& driver) {
+  QueryDraw draw;
+  draw.origin = static_cast<NodeId>(driver.below(network.num_nodes()));
+  draw.target = network.sample_target(draw.origin);
+  for (int attempt = 0;
+       attempt < 8 && network.store_has(draw.origin, draw.target); ++attempt) {
+    draw.target = network.sample_target(draw.origin);
+  }
+  return draw;
+}
+
 void run_queries(Network& network, std::size_t count,
                  const SearchOptions& options, util::Rng& rng,
                  TrafficStats* stats) {
   for (std::size_t i = 0; i < count; ++i) {
-    const auto origin = static_cast<NodeId>(rng.below(network.num_nodes()));
-    workload::FileId target = network.sample_target(origin);
-    for (int attempt = 0; attempt < 8 && network.peer(origin).store.has(target);
-         ++attempt) {
-      target = network.sample_target(origin);
-    }
-    const SearchOutcome outcome = network.search(origin, target, options);
+    const QueryDraw query = draw_query(network, rng);
+    const SearchOutcome outcome =
+        network.search(query.origin, query.target, options);
     if (stats == nullptr) continue;
     ++stats->queries;
     if (outcome.hit) {

@@ -57,9 +57,21 @@ struct TrafficStats {
 [[nodiscard]] Network make_network(const ExperimentConfig& config,
                                    const PolicyFactory& factory);
 
-/// Issue `count` interest-driven queries from random origins.  Targets the
-/// origin already stores are re-sampled (users do not search for what they
-/// have).  Aggregates into `stats` unless it is null (warm-up mode).
+/// One interest-driven query: where it starts and what it asks for.
+struct QueryDraw {
+  NodeId origin = kNoNode;
+  workload::FileId target = workload::kNoFile;
+};
+
+/// Draw one query: a uniform origin from `driver`, then a target from the
+/// origin's interests (network stream), re-sampled up to 8 times while the
+/// origin already stores it — users do not search for what they have.
+/// Every workload driver draws through here, so one seed means one query
+/// stream everywhere.
+[[nodiscard]] QueryDraw draw_query(Network& network, util::Rng& driver);
+
+/// Issue `count` queries from draw_query.  Aggregates into `stats` unless
+/// it is null (warm-up mode).
 void run_queries(Network& network, std::size_t count,
                  const SearchOptions& options, util::Rng& rng,
                  TrafficStats* stats);

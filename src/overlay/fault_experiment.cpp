@@ -69,7 +69,8 @@ PolicyFactory scenario_policy_factory(const std::string& name) {
 }
 
 FaultRunResult run_fault_scenario(const fault::Scenario& scenario,
-                                  std::uint64_t seed, bool faulted) {
+                                  std::uint64_t seed, bool faulted,
+                                  NetworkConfig network_config) {
   const PolicyFactory factory = scenario_policy_factory(scenario.policy);
 
   // Seeding mirrors make_network / run_experiment exactly: topology from
@@ -79,9 +80,8 @@ FaultRunResult run_fault_scenario(const fault::Scenario& scenario,
   // the query stream bit for bit.
   util::Rng topo_rng(seed);
   Graph graph = make_barabasi_albert(scenario.nodes, scenario.attach, topo_rng);
-  NetworkConfig net_config;
-  net_config.seed = seed + 1;
-  Network network(net_config, std::move(graph), factory);
+  network_config.seed = seed + 1;
+  Network network(network_config, std::move(graph), factory);
   if (faulted) {
     network.install_faults(std::make_unique<fault::FaultInjector>(
         scenario.plan, scenario.schedule, seed, scenario.nodes));
@@ -103,15 +103,11 @@ FaultRunResult run_fault_scenario(const fault::Scenario& scenario,
   for (std::size_t epoch = 0; epoch < scenario.epochs; ++epoch) {
     FaultEpochStats stats;
     for (std::size_t q = 0; q < scenario.queries; ++q) {
-      // Same draw order as run_queries so warm-up and measurement are one
+      // draw_query, like run_queries, so warm-up and measurement are one
       // continuous stream over the driver rng.
-      const auto origin = static_cast<NodeId>(driver.below(network.num_nodes()));
-      workload::FileId target = network.sample_target(origin);
-      for (int attempt = 0;
-           attempt < 8 && network.peer(origin).store.has(target); ++attempt) {
-        target = network.sample_target(origin);
-      }
-      const SearchOutcome outcome = network.search(origin, target, options);
+      const QueryDraw query = draw_query(network, driver);
+      const SearchOutcome outcome =
+          network.search(query.origin, query.target, options);
       ++stats.searches;
       if (outcome.hit) ++stats.hits;
       if (outcome.timed_out) ++stats.timeouts;

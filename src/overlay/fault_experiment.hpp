@@ -70,9 +70,12 @@ void append_outcome(std::vector<std::uint8_t>& out, const SearchOutcome& o);
 /// Run `scenario` to completion from `seed`.  `faulted = false` strips the
 /// injector entirely (the lossless baseline the degradation table and the
 /// zero-fault differential compare against) while keeping topology,
-/// stores, and the query stream identical.
+/// stores, and the query stream identical.  `network` carries the engine's
+/// threads and shards, which never change the result; its seed is
+/// replaced by `seed + 1`.
 [[nodiscard]] FaultRunResult run_fault_scenario(const fault::Scenario& scenario,
                                                 std::uint64_t seed,
-                                                bool faulted = true);
+                                                bool faulted = true,
+                                                NetworkConfig network = {});
 
 }  // namespace aar::overlay

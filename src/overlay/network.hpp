@@ -7,222 +7,19 @@
 // reply passes notifies its policy — the feedback loop the paper's rules are
 // mined from.  The simulator counts every message so the traffic benches
 // (N1/N2) can compare policies end to end.
+//
+// There is one implementation: the discrete-event sim::Engine
+// (docs/SIMULATION.md).  overlay::Network names it for the overlay drivers,
+// benches and tests; NetworkConfig's defaults build peers sequentially from
+// one workload stream on one thread and one shard, with the sim.engine.*
+// metric family off.
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
-#include "fault/fault.hpp"
-#include "overlay/graph.hpp"
-#include "overlay/policy.hpp"
-#include "util/rng.hpp"
-#include "workload/content.hpp"
-#include "workload/interests.hpp"
+#include "overlay/search.hpp"
+#include "sim/engine.hpp"
 
 namespace aar::overlay {
 
-struct NetworkConfig {
-  std::uint64_t seed = 1;
-  std::size_t files_per_node = 24;     ///< local store size
-  std::size_t interest_breadth = 3;    ///< categories per peer profile
-  std::uint32_t default_ttl = 7;       ///< Gnutella's classic TTL
-  workload::ContentConfig content{};
-};
-
-/// One peer: interests and shared content (links live in the Graph,
-/// behaviour in the policy table).
-struct Peer {
-  workload::InterestProfile profile;
-  workload::LocalStore store;
-};
-
-enum class SearchMode {
-  kSingle,         ///< one propagation pass at the given TTL
-  kExpandingRing,  ///< flooding passes at TTL 1, 2, 4, ... up to the given TTL
-};
-
-struct SearchOptions {
-  std::uint32_t ttl = 0;  ///< 0 = network default
-  SearchMode mode = SearchMode::kSingle;
-  /// Force flood-on-miss regardless of the policy's preference.
-  bool flood_fallback = false;
-
-  // --- robustness under faults (docs/FAULTS.md) -------------------------
-  // With the defaults below (no timeout, no retries) search behaves exactly
-  // as it always has; the knobs only engage when set.
-
-  /// Stamp budget for the whole search (propagation delays plus backoff
-  /// between retries).  Messages that would arrive after the budget are
-  /// lost to the timeout; a search that exhausts it without a delivered
-  /// reply reports `timed_out`.  0 = unlimited.
-  std::uint32_t timeout_stamps = 0;
-  /// Extra attempts after the primary pass.  The ladder degrades gracefully:
-  /// primary (rule-routed) pass, then widened top-k passes, then one final
-  /// forced flood (`degraded_to_flood`).
-  std::uint32_t max_retries = 0;
-  /// Stamps waited before the first retry; doubles per retry (exponential
-  /// backoff, clamped to at least 1 so retry stamps strictly increase).
-  std::uint32_t backoff_base = 2;
-  /// Max extra backoff stamps per retry, sampled uniformly (jittered
-  /// re-probe).  0 = deterministic backoff.
-  std::uint32_t backoff_jitter = 0;
-  /// Top-k widening added per retry attempt (Query::widen).
-  std::uint32_t widen_per_retry = 1;
-};
-
-struct SearchOutcome {
-  bool hit = false;
-  std::uint32_t hops_to_first_hit = 0;   ///< 0 when the origin had the file
-  std::uint32_t replicas_found = 0;      ///< distinct nodes that answered
-  std::uint32_t nodes_reached = 0;       ///< distinct nodes that saw the query
-  std::uint64_t query_messages = 0;
-  std::uint64_t reply_messages = 0;
-  std::uint64_t probe_messages = 0;      ///< shortcut request/response pairs
-  bool used_fallback = false;            ///< a flooding retry ran
-  bool rule_routed = false;              ///< primary pass was policy-directed
-
-  // --- robustness outcomes ----------------------------------------------
-  bool timed_out = false;          ///< budget exhausted before a hit (⇒ !hit)
-  bool degraded_to_flood = false;  ///< the retry ladder's final flood ran
-  std::uint32_t retries_used = 0;  ///< retry attempts actually launched
-  std::uint64_t elapsed_stamps = 0;  ///< virtual stamps the search consumed
-  std::uint64_t dropped_messages = 0;  ///< messages lost to injected faults
-  /// Virtual stamp at which each retry launched (strictly increasing).
-  std::vector<std::uint64_t> retry_stamps;
-
-  [[nodiscard]] std::uint64_t total_messages() const noexcept {
-    return query_messages + reply_messages + probe_messages;
-  }
-};
-
-class Network {
- public:
-  /// Build a network over `graph`.  Peers get interest profiles and stores
-  /// from the catalogue; `factory` supplies each node's routing policy.
-  Network(const NetworkConfig& config, Graph graph, const PolicyFactory& factory);
-
-  /// Issue one query and simulate it to completion.
-  SearchOutcome search(NodeId origin, workload::FileId target,
-                       const SearchOptions& options = {});
-
-  /// Sample a query target matching `origin`'s interests (interest-based
-  /// locality: peers ask for content in their own categories).
-  [[nodiscard]] workload::FileId sample_target(NodeId origin);
-
-  /// Replace a node's policy (adoption sweeps, A/B tests).
-  void set_policy(NodeId node, std::unique_ptr<RoutingPolicy> policy);
-
-  /// Add an overlay link (rule-driven topology adaptation, §VI).  Returns
-  /// false for self-loops and existing links.
-  bool add_link(NodeId a, NodeId b) { return graph_.add_edge(a, b); }
-
-  /// Peer churn: the peer at `node` departs and a fresh peer joins in its
-  /// place — links dropped, `attach` new random links made, new interests,
-  /// new store, and a fresh policy from the construction factory (every
-  /// other node's learned state about the old peer is now stale, which is
-  /// exactly what the adaptive strategies must absorb).
-  void replace_peer(NodeId node, std::size_t attach);
-
-  /// Replace `count` uniformly random peers (one churn epoch).
-  void churn(std::size_t count, std::size_t attach);
-
-  /// Install a fault injector the simulator consults at every message hop
-  /// and peer touch (null uninstalls).  A FaultPlan::none() injector with an
-  /// empty schedule is bit-for-bit equivalent to no injector at all — it
-  /// never draws from its rng and never changes a verdict.
-  void install_faults(std::unique_ptr<fault::FaultInjector> injector) {
-    faults_ = std::move(injector);
-  }
-  [[nodiscard]] fault::FaultInjector* faults() noexcept { return faults_.get(); }
-
-  [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
-  [[nodiscard]] const Peer& peer(NodeId node) const { return peers_[node]; }
-  [[nodiscard]] RoutingPolicy& policy(NodeId node) { return *policies_[node]; }
-  [[nodiscard]] const workload::ContentCatalogue& catalogue() const noexcept {
-    return catalogue_;
-  }
-  [[nodiscard]] std::size_t num_nodes() const noexcept { return peers_.size(); }
-  [[nodiscard]] util::Rng& rng() noexcept { return rng_; }
-
-  /// Total replicas of `file` across all stores (workload sanity checks).
-  [[nodiscard]] std::size_t replica_count(workload::FileId file) const;
-
- private:
-  struct PassOutcome {
-    bool hit = false;
-    std::uint32_t hops_to_first_hit = 0;
-    std::uint32_t replicas_found = 0;
-    std::uint32_t nodes_reached = 0;
-    std::uint64_t query_messages = 0;
-    std::uint64_t reply_messages = 0;
-    bool origin_rule_routed = false;  ///< the origin's own decision was directed
-    bool any_rule_routed = false;     ///< some node narrowed the propagation
-    NodeId first_server = kNoNode;
-    std::uint64_t elapsed = 0;    ///< largest arrival stamp processed
-    std::uint64_t dropped = 0;    ///< messages lost to injected faults
-    bool truncated = false;       ///< messages undelivered past the budget
-  };
-
-  struct ReplyResult {
-    std::uint64_t messages = 0;
-    std::uint64_t dropped = 0;
-    bool delivered = true;  ///< the reply reached the origin
-  };
-
-  /// One in-flight query message (propagate's frontier heap element).
-  struct InFlight {
-    std::uint64_t time;  ///< arrival stamp (pass-relative)
-    std::uint64_t seq;   ///< send order — the tie-break that keeps the
-                         ///< zero-delay schedule identical to FIFO BFS
-    NodeId node;
-    NodeId from;
-    std::uint32_t depth;
-    std::uint32_t ttl;
-  };
-
-  /// One propagation pass.  `force_flood` ignores policies and floods;
-  /// `budget` is the largest arrival stamp still delivered (relative to the
-  /// pass start).  Messages are delivered in arrival-stamp order — without
-  /// fault delays that order IS the old FIFO BFS order, bit for bit.
-  PassOutcome propagate(const Query& query, NodeId origin, std::uint32_t ttl,
-                        bool force_flood, std::uint64_t budget);
-
-  /// Route a reply from `server` back to the origin along the parent chain,
-  /// invoking on_reply_path at every node on the way.  Under faults the
-  /// reply can be lost mid-path; nodes past the loss learn nothing and the
-  /// origin never sees the hit.
-  ReplyResult deliver_reply(const Query& query, NodeId server);
-
-  void next_stamp();
-
-  NetworkConfig config_;
-  PolicyFactory factory_;
-  Graph graph_;
-  util::Rng rng_;
-  workload::ContentCatalogue catalogue_;
-  std::vector<Peer> peers_;
-  std::vector<std::unique_ptr<RoutingPolicy>> policies_;
-
-  // Per-query scratch state, stamp-versioned so it never needs clearing.
-  std::vector<std::uint32_t> seen_stamp_;
-  std::vector<std::uint32_t> hit_stamp_;
-  std::vector<NodeId> parent_;
-  std::uint32_t stamp_ = 0;
-  trace::Guid next_guid_ = 1;
-
-  // Scratch buffers reused across searches so steady-state query traffic
-  // performs no frontier/target allocations.  frontier_ is binary-heap
-  // storage driven by push_heap/pop_heap with the same (time, seq) strict
-  // order std::priority_queue used — pop order, and therefore every
-  // outcome, is byte-identical (goldens enforce).
-  std::vector<InFlight> frontier_;
-  std::vector<NodeId> route_targets_;
-  std::vector<NodeId> probe_scratch_;
-
-  // Fault layer: consulted at every hop when installed; search_clock_ drives
-  // the FaultSchedule (one search == one clock stamp).
-  std::unique_ptr<fault::FaultInjector> faults_;
-  std::uint64_t search_clock_ = 0;
-};
+using NetworkConfig = sim::EngineConfig;
+using Network = sim::Engine;
 
 }  // namespace aar::overlay

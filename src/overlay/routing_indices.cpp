@@ -53,7 +53,7 @@ std::vector<std::vector<double>> local_document_counts(const Network& network) {
   std::vector<std::vector<double>> docs(network.num_nodes(),
                                         std::vector<double>(categories, 0.0));
   for (NodeId node = 0; node < network.num_nodes(); ++node) {
-    for (workload::FileId file : network.peer(node).store.files()) {
+    for (workload::FileId file : network.store_files(node)) {
       docs[node][network.catalogue().category_of(file)] += 1.0;
     }
   }

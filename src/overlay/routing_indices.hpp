@@ -14,12 +14,11 @@
 #include <vector>
 
 #include "overlay/graph.hpp"
+#include "overlay/network.hpp"
 #include "overlay/policy.hpp"
 #include "workload/content.hpp"
 
 namespace aar::overlay {
-
-class Network;  // for the builder below
 
 /// The shared table: index[node][neighbor_slot][category] = discounted
 /// document-count estimate through that neighbor.

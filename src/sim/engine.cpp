@@ -24,9 +24,8 @@ constexpr std::uint64_t kPeerSaltBase = 0x100;
 // knob — parallel and inline rounds produce identical results.
 constexpr std::size_t kParallelWidth = 64;
 
-/// Fold one finished search into the overlay.* counters — the same names,
-/// values, and cadence as the legacy simulator, so a metrics snapshot from
-/// an engine run is bit-compatible with a Network run.
+/// Fold one finished search into the process-wide overlay counters.  Bound
+/// once, bumped once per search — nothing obs-related runs per message.
 void record_overlay_search(const overlay::SearchOutcome& outcome) {
   auto& registry = obs::Registry::global();
   static obs::Counter& searches = registry.counter("overlay.searches");
@@ -64,8 +63,8 @@ void record_overlay_search(const overlay::SearchOutcome& outcome) {
 Engine::Engine(const EngineConfig& config, overlay::Graph graph,
                const overlay::PolicyFactory& factory)
     : Engine(config, std::move(graph), std::unique_ptr<PeerModel>{}) {
-  // Interleaving with the store builds does not matter for the rng stream:
-  // factories take no rng (the legacy constructor interleaves them too).
+  // Factories take no rng, so building every policy after the stores leaves
+  // the workload stream untouched.
   model_ = std::make_unique<PolicyPeerModel>(num_nodes(), factory);
 }
 
@@ -73,11 +72,11 @@ Engine::Engine(const EngineConfig& config, overlay::Graph graph,
                std::unique_ptr<PeerModel> model)
     : config_(config),
       graph_(std::move(graph)),
-      rng_(config.build == EngineConfig::Build::kLegacy
+      rng_(config.build == EngineConfig::Build::kSequential
                ? config.seed
                : split_seed(config.seed, kWorkloadSalt)),
       build_rng_(split_seed(config.seed, kCatalogueSalt)),
-      catalogue_(config.content, config.build == EngineConfig::Build::kLegacy
+      catalogue_(config.content, config.build == EngineConfig::Build::kSequential
                                      ? rng_
                                      : build_rng_),
       model_(std::move(model)) {
@@ -85,7 +84,10 @@ Engine::Engine(const EngineConfig& config, overlay::Graph graph,
   threads_ = config_.threads != 0
                  ? config_.threads
                  : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  // One thread gains nothing from partitions; more shards only cost merge
+  // work in the apply phase.
   shards_ = config_.shards != 0 ? config_.shards
+            : threads_ == 1     ? 1
                                 : std::max<std::size_t>(8, threads_);
   shards_ = std::clamp<std::size_t>(shards_, 1, std::max<std::size_t>(1, n));
   // Workers beyond the shard count can never receive work.
@@ -101,8 +103,8 @@ Engine::Engine(const EngineConfig& config, overlay::Graph graph,
   profiles_.resize(n);
   store_offsets_.assign(n + 1, 0);
   store_overlaid_.assign(n, 0);
-  if (config_.build == EngineConfig::Build::kLegacy) {
-    build_peers_legacy();
+  if (config_.build == EngineConfig::Build::kSequential) {
+    build_peers_sequential();
   } else {
     build_peers_sharded();
   }
@@ -111,11 +113,11 @@ Engine::Engine(const EngineConfig& config, overlay::Graph graph,
   parent_.assign(n, overlay::kNoNode);
 }
 
-void Engine::build_peers_legacy() {
-  // Mirrors overlay::Network's constructor draw for draw: one workload rng,
-  // profile then store per node.  populate()'s draw count depends on the
-  // evolving set membership, so it must run against a real LocalStore; the
-  // result is flattened into the sorted struct-of-arrays slices afterwards.
+void Engine::build_peers_sequential() {
+  // One workload rng, profile then store per node.  populate()'s draw count
+  // depends on the evolving set membership, so it must run against a real
+  // LocalStore; the result is flattened into the sorted struct-of-arrays
+  // slices afterwards.
   const std::size_t n = graph_.num_nodes();
   store_files_.reserve(n * config_.files_per_node);
   for (std::size_t node = 0; node < n; ++node) {
@@ -175,16 +177,28 @@ bool Engine::store_has(NodeId node, workload::FileId file) const {
 }
 
 std::size_t Engine::store_size(NodeId node) const {
-  if (store_overlaid_[node] != 0) {
-    return store_overlay_.find(node)->second.size();
+  return store_files(node).size();
+}
+
+std::span<const workload::FileId> Engine::store_files(NodeId node) const {
+  if (store_overlaid_[node] != 0) return store_overlay_.find(node)->second;
+  return std::span<const workload::FileId>(store_files_)
+      .subspan(static_cast<std::size_t>(store_offsets_[node]),
+               static_cast<std::size_t>(store_offsets_[node + 1] -
+                                        store_offsets_[node]));
+}
+
+std::size_t Engine::replica_count(workload::FileId file) const {
+  std::size_t count = 0;
+  for (NodeId node = 0; node < num_nodes(); ++node) {
+    if (store_has(node, file)) ++count;
   }
-  return static_cast<std::size_t>(store_offsets_[node + 1] -
-                                  store_offsets_[node]);
+  return count;
 }
 
 void Engine::replace_peer(NodeId node, std::size_t attach) {
-  // Mirrors overlay::Network::replace_peer draw for draw (one shared
-  // workload rng in both build modes, so churn is thread/shard independent).
+  // One shared workload rng in both build modes, so churn is thread/shard
+  // independent.
   assert(node < num_nodes());
   const std::vector<NodeId> orphaned(graph_.neighbors(node).begin(),
                                      graph_.neighbors(node).end());
@@ -195,6 +209,8 @@ void Engine::replace_peer(NodeId node, std::size_t attach) {
     const auto target = static_cast<NodeId>(rng_.below(num_nodes()));
     if (graph_.add_edge(node, target)) ++linked;
   }
+  // Overlay maintenance: peers that lost the link re-open a connection so
+  // the network does not thin out under sustained churn.
   for (NodeId neighbor : orphaned) {
     if (graph_.degree(neighbor) >= attach) continue;
     for (int attempt = 0; attempt < 16; ++attempt) {
@@ -211,7 +227,11 @@ void Engine::replace_peer(NodeId node, std::size_t attach) {
   std::sort(overlay.begin(), overlay.end());
   store_overlaid_[node] = 1;
   model_->reset_peer(node);
+  // Every other peer's learned state about the departed peer — mined rule
+  // consequents, shortcut entries — names a NodeId that now belongs to a
+  // stranger; the model purges it.
   model_->on_peer_departed(node);
+  // The replacement joins healthy regardless of its predecessor's state.
   if (faults_ != nullptr) faults_->on_peer_replaced(node);
   if (config_.engine_metrics) {
     obs::Registry::global().counter("sim.engine.churned").add(1);
@@ -239,6 +259,12 @@ void Engine::next_stamp() {
 
 Engine::ReplyResult Engine::deliver_reply(const overlay::Query& query,
                                           NodeId server) {
+  // Gnutella routes QueryHits back along the reverse query path using the
+  // per-node GUID routing tables; parent_ is exactly that table for the
+  // current query.  Every node on the path observes the (antecedent,
+  // consequent) pair and lets its policy learn from it — unless the reply
+  // is lost mid-path, in which case the nodes past the loss (and the
+  // origin) never see it.
   ReplyResult result;
   NodeId downstream = server;
   NodeId node = parent_[server];
@@ -264,71 +290,137 @@ void Engine::push_event(std::uint64_t slot, const QueryEvent& event) {
   shard.queue.push(slot, event);
 }
 
+bool Engine::admit(const QueryEvent& ev, const overlay::Query& query,
+                   bool revisits, EventResult& r) {
+  // Touches only state owned by ev.node's shard: seen/hit/parent are
+  // indexed by the event's node, and shard_of(node) routed the event here.
+  r.seq = ev.seq;
+  r.node = ev.node;
+  r.depth = ev.depth;
+  r.ttl = ev.ttl;
+  if (seen_stamp_[ev.node] == stamp_) return revisits;  // else suppressed
+  seen_stamp_[ev.node] = stamp_;
+  parent_[ev.node] = ev.from;
+  r.flags |= EventResult::kFirstVisit;
+  // Free riders forward but never answer; crashed peers never even receive
+  // (their messages were dropped in transit).
+  const bool answers = faults_ == nullptr || faults_->shares_content(ev.node);
+  if (answers && store_has(ev.node, query.target) &&
+      hit_stamp_[ev.node] != stamp_) {
+    hit_stamp_[ev.node] = stamp_;
+    r.flags |= EventResult::kHit;
+  }
+  return true;
+}
+
+void Engine::route_event(Shard& shard, const QueryEvent& ev,
+                         const overlay::Query& query, bool force_flood,
+                         util::Rng& rng, EventResult& r) {
+  r.flags |= EventResult::kRouted;
+  shard.route_scratch.clear();
+  bool directed = false;
+  if (force_flood) {
+    for (NodeId neighbor : graph_.neighbors(ev.node)) {
+      if (neighbor != ev.from) shard.route_scratch.push_back(neighbor);
+    }
+  } else {
+    directed = model_->route(query, ev.node, ev.from,
+                             graph_.neighbors(ev.node), rng,
+                             shard.route_scratch);
+  }
+  if (directed) r.flags |= EventResult::kDirected;
+  r.emit_offset = static_cast<std::uint32_t>(shard.emissions.size());
+  for (NodeId target : shard.route_scratch) {
+    if (target == ev.node) continue;
+    shard.emissions.push_back(target);
+  }
+  r.emit_count =
+      static_cast<std::uint32_t>(shard.emissions.size()) - r.emit_offset;
+}
+
 void Engine::process_shard_round(Shard& shard, std::uint64_t now,
                                  const overlay::Query& query,
                                  bool force_flood) {
-  // PARALLEL phase: pure per-peer work for this shard's slot.  Writes touch
-  // only state owned by this shard's peers (seen/hit/parent are indexed by
-  // the event's node, and shard_of(node) routed the event here) plus the
-  // shard-local results/emissions buffers.  No rng, no metrics, no
+  // PARALLEL phase: pure per-peer work for this shard's slot, into the
+  // shard-local results/emissions buffers.  No shared rng, no metrics, no
   // cross-peer mutation — all of that happens in the serial apply phase.
   shard.results.clear();
   shard.emissions.clear();
   for (const QueryEvent& ev : shard.queue.at(now)) {
     EventResult r;
-    r.seq = ev.seq;
-    r.node = ev.node;
-    r.depth = ev.depth;
-    r.ttl = ev.ttl;
-    const bool first_visit = seen_stamp_[ev.node] != stamp_;
-    if (first_visit) {
-      seen_stamp_[ev.node] = stamp_;
-      parent_[ev.node] = ev.from;
-      r.flags |= EventResult::kFirstVisit;
-      const bool answers =
-          faults_ == nullptr || faults_->shares_content(ev.node);
-      if (answers && store_has(ev.node, query.target) &&
-          hit_stamp_[ev.node] != stamp_) {
-        hit_stamp_[ev.node] = stamp_;
-        r.flags |= EventResult::kHit;
-      }
-    } else {
-      // Duplicate suppressed (PolicyPeerModel rejects revisit policies).
-      shard.results.push_back(r);
-      continue;
+    if (admit(ev, query, /*revisits=*/false, r) && ev.ttl != 0) {
+      // No revisit policy is installed, and the rest never draw; the
+      // RoutingPolicy signature still demands a stream, so each call gets
+      // a throwaway split from (guid, node).
+      std::uint64_t state =
+          query.guid ^ ((std::uint64_t{ev.node} + 1) * 0x9e3779b97f4a7c15ULL);
+      util::Rng scratch(util::splitmix64(state));
+      route_event(shard, ev, query, force_flood, scratch, r);
     }
-    if (ev.ttl == 0) {
-      shard.results.push_back(r);
-      continue;
-    }
-    r.flags |= EventResult::kRouted;
-    shard.route_scratch.clear();
-    bool directed = false;
-    if (force_flood) {
-      for (NodeId neighbor : graph_.neighbors(ev.node)) {
-        if (neighbor != ev.from) shard.route_scratch.push_back(neighbor);
-      }
-    } else {
-      directed = model_->route(query, ev.node, ev.from,
-                               graph_.neighbors(ev.node), shard.route_scratch);
-    }
-    if (directed) r.flags |= EventResult::kDirected;
-    r.emit_offset = static_cast<std::uint32_t>(shard.emissions.size());
-    for (NodeId target : shard.route_scratch) {
-      if (target == ev.node) continue;
-      shard.emissions.push_back(target);
-    }
-    r.emit_count =
-        static_cast<std::uint32_t>(shard.emissions.size()) - r.emit_offset;
     shard.results.push_back(r);
   }
+}
+
+void Engine::apply_arrival(const EventResult& r, const overlay::Query& query,
+                           NodeId origin, PassState& st) {
+  --st.frontier_size;
+  if ((r.flags & EventResult::kFirstVisit) != 0) ++st.pass.nodes_reached;
+  if ((r.flags & EventResult::kHit) == 0) return;
+  ++st.pass.replicas_found;
+  bool delivered = true;
+  if (r.node != origin) {
+    const ReplyResult reply = deliver_reply(query, r.node);
+    st.pass.reply_messages += reply.messages;
+    st.pass.dropped += reply.dropped;
+    delivered = reply.delivered;
+  }
+  if (delivered && !st.pass.hit) {
+    st.pass.hit = true;
+    st.pass.hops_to_first_hit = r.depth;
+    st.pass.first_server = r.node;
+  }
+}
+
+void Engine::apply_emissions(const EventResult& r, const Shard& shard,
+                             std::uint64_t now, NodeId origin, PassState& st) {
+  const bool directed = (r.flags & EventResult::kDirected) != 0;
+  if (r.node == origin && r.depth == 0) st.origin_decision = directed;
+  st.any_directed = st.any_directed || directed;
+  for (std::uint32_t i = 0; i < r.emit_count; ++i) {
+    const NodeId target = shard.emissions[r.emit_offset + i];
+    ++st.pass.query_messages;
+    std::uint64_t arrival = now + 1;
+    if (faults_ != nullptr) {
+      const fault::ForwardVerdict verdict = faults_->on_forward(r.node, target);
+      if (verdict.dropped) {
+        ++st.pass.dropped;
+        continue;  // sent, lost in transit
+      }
+      arrival += verdict.delay;
+      if (verdict.duplicated && arrival <= st.budget) {
+        ++st.pass.query_messages;  // the duplicate is a real extra message
+        push_event(arrival, QueryEvent{next_seq_++, target, r.node,
+                                       r.depth + 1, r.ttl - 1});
+        ++st.frontier_size;
+      }
+    }
+    if (arrival > st.budget) {
+      st.pass.truncated = true;  // still in flight when the budget runs out
+      continue;
+    }
+    push_event(arrival,
+               QueryEvent{next_seq_++, target, r.node, r.depth + 1, r.ttl - 1});
+    ++st.frontier_size;
+  }
+  st.frontier_peak =
+      std::max(st.frontier_peak, static_cast<std::size_t>(st.frontier_size));
 }
 
 void Engine::apply_round(std::uint64_t now, const overlay::Query& query,
                          NodeId origin, PassState& st) {
   // SERIAL phase: merge the per-shard results back into global seq order
   // (each shard's list is seq-sorted by construction) and perform the
-  // order-sensitive work exactly as the legacy pop loop would.
+  // order-sensitive work.
   std::fill(merge_idx_.begin(), merge_idx_.end(), 0);
   for (;;) {
     std::size_t best = shards_;
@@ -342,60 +434,44 @@ void Engine::apply_round(std::uint64_t now, const overlay::Query& query,
       }
     }
     if (best == shards_) break;
-    Shard& shard = shard_state_[best];
-    const EventResult r = shard.results[merge_idx_[best]++];
-    --st.frontier_size;
-
-    if ((r.flags & EventResult::kFirstVisit) != 0) ++st.pass.nodes_reached;
-    if ((r.flags & EventResult::kHit) != 0) {
-      ++st.pass.replicas_found;
-      bool delivered = true;
-      if (r.node != origin) {
-        const ReplyResult reply = deliver_reply(query, r.node);
-        st.pass.reply_messages += reply.messages;
-        st.pass.dropped += reply.dropped;
-        delivered = reply.delivered;
-      }
-      if (delivered && !st.pass.hit) {
-        st.pass.hit = true;
-        st.pass.hops_to_first_hit = r.depth;
-        st.pass.first_server = r.node;
-      }
+    const Shard& shard = shard_state_[best];
+    const EventResult& r = shard.results[merge_idx_[best]++];
+    apply_arrival(r, query, origin, st);
+    if ((r.flags & EventResult::kRouted) != 0) {
+      apply_emissions(r, shard, now, origin, st);
     }
-    if ((r.flags & EventResult::kRouted) == 0) continue;
+  }
+}
 
-    const bool directed = (r.flags & EventResult::kDirected) != 0;
-    if (r.node == origin && r.depth == 0) st.origin_decision = directed;
-    st.any_directed = st.any_directed || directed;
-    for (std::uint32_t i = 0; i < r.emit_count; ++i) {
-      const NodeId target = shard.emissions[r.emit_offset + i];
-      ++st.pass.query_messages;
-      std::uint64_t arrival = now + 1;
-      if (faults_ != nullptr) {
-        const fault::ForwardVerdict verdict = faults_->on_forward(r.node, target);
-        if (verdict.dropped) {
-          ++st.pass.dropped;
-          continue;  // sent, lost in transit
-        }
-        arrival += verdict.delay;
-        if (verdict.duplicated && arrival <= st.budget) {
-          ++st.pass.query_messages;  // the duplicate is a real extra message
-          push_event(arrival,
-                     QueryEvent{next_seq_++, target, r.node, r.depth + 1,
-                                r.ttl - 1});
-          ++st.frontier_size;
-        }
-      }
-      if (arrival > st.budget) {
-        st.pass.truncated = true;  // still in flight when the budget runs out
-        continue;
-      }
-      push_event(arrival, QueryEvent{next_seq_++, target, r.node, r.depth + 1,
-                                     r.ttl - 1});
-      ++st.frontier_size;
-    }
-    st.frontier_peak = std::max(st.frontier_peak,
-                                static_cast<std::size_t>(st.frontier_size));
+void Engine::revisit_round(std::uint64_t now, const overlay::Query& query,
+                           NodeId origin, PassState& st) {
+  // Revisit path: one event at a time in (time, seq) order.  A walker's
+  // route draws from the workload stream, and it must see a hit delivered
+  // by an earlier event of the same slot, so nothing here can be split
+  // into phases.  Forwarded messages land in later slots, never this one.
+  revisit_batch_.clear();
+  for (Shard& shard : shard_state_) {
+    const std::vector<QueryEvent>& slot = shard.queue.at(now);
+    revisit_batch_.insert(revisit_batch_.end(), slot.begin(), slot.end());
+  }
+  if (shards_ > 1) {
+    std::sort(revisit_batch_.begin(), revisit_batch_.end(),
+              [](const QueryEvent& a, const QueryEvent& b) {
+                return a.seq < b.seq;
+              });
+  }
+  Shard& scratch = shard_state_.front();
+  for (const QueryEvent& ev : revisit_batch_) {
+    EventResult r;
+    const bool revisits = model_->allows_revisit(ev.node);
+    const bool admitted = admit(ev, query, revisits, r);
+    apply_arrival(r, query, origin, st);
+    // Walkers check back with the originator: once the query is answered,
+    // outstanding walkers stop forwarding.
+    if (!admitted || ev.ttl == 0 || (revisits && st.pass.hit)) continue;
+    scratch.emissions.clear();
+    route_event(scratch, ev, query, /*force_flood=*/false, rng_, r);
+    apply_emissions(r, scratch, now, origin, st);
   }
 }
 
@@ -424,6 +500,8 @@ Engine::PassOutcome Engine::run_pass(const overlay::Query& query, NodeId origin,
   push_event(0, QueryEvent{next_seq_++, origin, origin, 0, ttl});
   st.frontier_size = 1;
 
+  // Forced floods never revisit, so only policy passes can need the path.
+  const bool revisit_path = !force_flood && model_->any_revisit();
   std::uint64_t rounds = 0;
   std::uint64_t events = 0;
   for (std::uint64_t now = 0; now <= horizon && st.frontier_size > 0; ++now) {
@@ -434,21 +512,24 @@ Engine::PassOutcome Engine::run_pass(const overlay::Query& query, NodeId origin,
     ++rounds;
     events += width;
 
-    if (pool_ != nullptr && width >= kParallelWidth) {
-      for (std::size_t s = 0; s < shards_; ++s) {
-        Shard* shard = &shard_state_[s];
-        pool_->submit([this, shard, now, &query, force_flood] {
-          process_shard_round(*shard, now, query, force_flood);
-        });
-      }
-      pool_->wait();
+    if (revisit_path) {
+      revisit_round(now, query, origin, st);
     } else {
-      for (Shard& shard : shard_state_) {
-        process_shard_round(shard, now, query, force_flood);
+      if (pool_ != nullptr && width >= kParallelWidth) {
+        for (std::size_t s = 0; s < shards_; ++s) {
+          Shard* shard = &shard_state_[s];
+          pool_->submit([this, shard, now, &query, force_flood] {
+            process_shard_round(*shard, now, query, force_flood);
+          });
+        }
+        pool_->wait();
+      } else {
+        for (Shard& shard : shard_state_) {
+          process_shard_round(shard, now, query, force_flood);
+        }
       }
+      apply_round(now, query, origin, st);
     }
-
-    apply_round(now, query, origin, st);
     for (Shard& shard : shard_state_) shard.queue.at(now).clear();
   }
 
@@ -474,8 +555,6 @@ void Engine::record(const overlay::SearchOutcome& outcome) {
 
 overlay::SearchOutcome Engine::search(NodeId origin, workload::FileId target,
                                       const overlay::SearchOptions& options) {
-  // Structurally identical to overlay::Network::search — every branch,
-  // draw, and accounting step in the same order.
   assert(origin < num_nodes());
   const std::uint32_t ttl =
       options.ttl != 0 ? options.ttl : config_.default_ttl;
@@ -490,6 +569,8 @@ overlay::SearchOutcome Engine::search(NodeId origin, workload::FileId target,
 
   overlay::SearchOutcome outcome;
 
+  // A crashed origin issues nothing (its user is gone too); the workload
+  // drivers still count the search so success rates reflect the outage.
   if (faults_ != nullptr && faults_->crashed(origin)) {
     record(outcome);
     return outcome;

@@ -5,9 +5,8 @@
 //
 //   * QueryEvent — one query message in flight during a propagation pass.
 //     The engine's virtual-time rounds deliver these in the canonical
-//     (time, seq) order, which is exactly the pop order of the legacy
-//     overlay::Network priority queue — the invariant behind the
-//     fingerprint-equality the compat driver proves.
+//     (time, seq) order: arrival stamp first, send order second, so a
+//     zero-delay pass is exactly FIFO breadth-first order.
 //   * SimEvent — one macro step on the search clock (a search launch or a
 //     churn epoch).  The scale driver compiles a workload into a SimEvent
 //     schedule and replays it; fault-schedule events stay inside

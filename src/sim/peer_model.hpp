@@ -7,14 +7,17 @@
 //
 //   * route() runs in the PARALLEL phase — it may be called concurrently for
 //     distinct peers, must be deterministic, and must touch only state owned
-//     by `self`.
+//     by `self` plus the stream it is handed.
 //   * every other hook runs in the SERIAL apply phase, in the canonical
 //     event order, and may mutate cross-peer state freely.
 //
-// PolicyPeerModel adapts the existing overlay::RoutingPolicy zoo (flooding,
-// interest shortcuts, association routing) unchanged.  Policies that revisit
-// nodes (k-random-walk) draw from the shared rng mid-propagation and are
-// rejected: they need the legacy overlay::Network.
+// Peers that revisit (allows_revisit(): k-random walks) change that split:
+// while any peer does, the engine processes every pass one event at a time
+// in (time, seq) order, and route() draws from the engine's workload stream.
+//
+// PolicyPeerModel adapts the overlay::RoutingPolicy zoo (flooding, random
+// walks, interest shortcuts, routing indices, association routing)
+// unchanged.
 
 #include <memory>
 #include <span>
@@ -24,6 +27,7 @@
 
 #include "overlay/graph.hpp"
 #include "overlay/policy.hpp"
+#include "util/rng.hpp"
 
 namespace aar::sim {
 
@@ -37,11 +41,19 @@ class PeerModel {
 
   /// Choose forwarding targets for `query` arriving at `self` from `from`.
   /// Returns true when the selection was policy-directed.  Called
-  /// concurrently for distinct peers; must be deterministic and touch only
-  /// per-`self` state.
+  /// concurrently for distinct peers unless some peer revisits; must be
+  /// deterministic and touch only per-`self` state and `rng`.
   virtual bool route(const overlay::Query& query, NodeId self, NodeId from,
-                     std::span<const NodeId> neighbors,
+                     std::span<const NodeId> neighbors, util::Rng& rng,
                      std::vector<NodeId>& out) = 0;
+
+  /// Does `self` forward queries it has already seen (random walks)?
+  [[nodiscard]] virtual bool allows_revisit(NodeId self) const {
+    (void)self;
+    return false;
+  }
+  /// Does any peer allow revisits?  Selects the engine's serial pass.
+  [[nodiscard]] virtual bool any_revisit() const { return false; }
 
   // --- serial-phase hooks (never called concurrently) ---------------------
 
@@ -77,9 +89,9 @@ class PeerModel {
   virtual void on_peer_departed(NodeId departed) = 0;
 };
 
-/// Adapter running one overlay::RoutingPolicy per peer, created by the same
-/// PolicyFactory the legacy Network uses.  Throws std::invalid_argument if
-/// the factory produces a null or revisit-allowing policy.
+/// Adapter running one overlay::RoutingPolicy per peer, created by a
+/// PolicyFactory.  Throws std::invalid_argument whenever a null policy would
+/// be installed (factory or set_policy).
 class PolicyPeerModel final : public PeerModel {
  public:
   PolicyPeerModel(std::size_t peers, const overlay::PolicyFactory& factory);
@@ -87,8 +99,12 @@ class PolicyPeerModel final : public PeerModel {
   [[nodiscard]] std::string name() const override;
 
   bool route(const overlay::Query& query, NodeId self, NodeId from,
-             std::span<const NodeId> neighbors,
+             std::span<const NodeId> neighbors, util::Rng& rng,
              std::vector<NodeId>& out) override;
+  [[nodiscard]] bool allows_revisit(NodeId self) const override {
+    return policies_[self]->allows_revisit();
+  }
+  [[nodiscard]] bool any_revisit() const override { return revisiting_ > 0; }
 
   void on_reply_path(const overlay::Query& query, NodeId self, NodeId upstream,
                      NodeId downstream) override;
@@ -100,14 +116,17 @@ class PolicyPeerModel final : public PeerModel {
   void reset_peer(NodeId node) override;
   void on_peer_departed(NodeId departed) override;
 
-  /// The per-peer policy (tests: RuleSet byte comparisons).
   [[nodiscard]] overlay::RoutingPolicy& policy(NodeId node) {
     return *policies_[node];
   }
+  /// Replace one peer's policy (adoption sweeps, A/B tests).  Churn
+  /// reinstalls the factory's policy.
+  void set_policy(NodeId node, std::unique_ptr<overlay::RoutingPolicy> policy);
 
  private:
   overlay::PolicyFactory factory_;
   std::vector<std::unique_ptr<overlay::RoutingPolicy>> policies_;
+  std::size_t revisiting_ = 0;  ///< installed policies that allow revisits
 };
 
 }  // namespace aar::sim

@@ -80,15 +80,9 @@ ScaleResult run_scale(const ScaleConfig& config) {
 
   util::Rng driver(config.seed + 2);
   const auto one_search = [&](bool measured) {
-    const auto origin =
-        static_cast<overlay::NodeId>(driver.below(engine.num_nodes()));
-    workload::FileId target = engine.sample_target(origin);
-    for (int attempt = 0; attempt < 8 && engine.store_has(origin, target);
-         ++attempt) {
-      target = engine.sample_target(origin);
-    }
+    const overlay::QueryDraw query = overlay::draw_query(engine, driver);
     const overlay::SearchOutcome outcome =
-        engine.search(origin, target, options);
+        engine.search(query.origin, query.target, options);
     if (!measured) return;
     ++result.searches;
     if (outcome.hit) ++result.hits;

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/forwarder.hpp"
 #include "overlay/assoc_policy.hpp"
@@ -83,7 +85,9 @@ TEST(NetworkChurn, ReplacePeerResetsStateAndRelinks) {
     policy.on_reply_path(query, victim, 3, 4);
   }
   EXPECT_FALSE(policy.rules().empty());
-  const auto old_files = net.peer(victim).store.files();
+  const auto old_slice = net.store_files(victim);
+  const std::vector<workload::FileId> old_files(old_slice.begin(),
+                                                old_slice.end());
 
   net.replace_peer(victim, 3);
 
@@ -91,12 +95,14 @@ TEST(NetworkChurn, ReplacePeerResetsStateAndRelinks) {
       net.policy(victim));
   EXPECT_TRUE(fresh.rules().empty());              // newcomer knows nothing
   EXPECT_GE(net.graph().degree(victim), 3u);       // re-linked
-  EXPECT_GT(net.peer(victim).store.size(), 0u);    // new content
+  EXPECT_GT(net.store_size(victim), 0u);           // new content
   // With a 1,000-file catalogue an identical store is (practically)
   // impossible; check at least one difference.
-  bool differs = net.peer(victim).store.files().size() != old_files.size();
-  for (workload::FileId f : net.peer(victim).store.files()) {
-    if (!old_files.contains(f)) differs = true;
+  bool differs = net.store_size(victim) != old_files.size();
+  for (workload::FileId f : net.store_files(victim)) {
+    if (!std::binary_search(old_files.begin(), old_files.end(), f)) {
+      differs = true;
+    }
   }
   EXPECT_TRUE(differs);
 }

@@ -31,8 +31,8 @@ TEST(Experiment, NetworkConstructionIsSound) {
   EXPECT_EQ(net.num_nodes(), config.nodes);
   EXPECT_TRUE(net.graph().is_connected());
   for (NodeId n = 0; n < net.num_nodes(); ++n) {
-    EXPECT_GT(net.peer(n).store.size(), 0u);
-    EXPECT_EQ(net.peer(n).profile.breadth(), config.network.interest_breadth);
+    EXPECT_GT(net.store_size(n), 0u);
+    EXPECT_EQ(net.profile(n).breadth(), config.network.interest_breadth);
   }
 }
 

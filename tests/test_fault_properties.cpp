@@ -138,16 +138,16 @@ TEST(FaultProperties, FreeRiderForwardsButNeverServes) {
   Network net(small_config(3), std::move(g), flooding_factory());
 
   workload::FileId only_at_1 = workload::kNoFile;
-  for (const workload::FileId f : net.peer(1).store.files()) {
-    if (!net.peer(0).store.has(f) && !net.peer(2).store.has(f)) {
+  for (const workload::FileId f : net.store_files(1)) {
+    if (!net.store_has(0, f) && !net.store_has(2, f)) {
       only_at_1 = f;
       break;
     }
   }
   ASSERT_NE(only_at_1, workload::kNoFile);
   workload::FileId at_2 = workload::kNoFile;
-  for (const workload::FileId f : net.peer(2).store.files()) {
-    if (!net.peer(0).store.has(f) && !net.peer(1).store.has(f)) {
+  for (const workload::FileId f : net.store_files(2)) {
+    if (!net.store_has(0, f) && !net.store_has(1, f)) {
       at_2 = f;
       break;
     }

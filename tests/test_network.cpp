@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 namespace aar::overlay {
 namespace {
@@ -62,7 +63,7 @@ TEST(Network, FindsPlantedFileAndCountsHops) {
   // allowed; use a policy-level check instead: plant through const_cast-free
   // path — search for a file node 3 already has.
   workload::FileId owned = workload::kNoFile;
-  for (workload::FileId f : net.peer(3).store.files()) {
+  for (workload::FileId f : net.store_files(3)) {
     owned = f;
     break;
   }
@@ -79,7 +80,7 @@ TEST(Network, FindsPlantedFileAndCountsHops) {
 TEST(Network, OriginOwningFileIsZeroHopHit) {
   Network net(tiny_config(), line_graph(4), flooding_factory());
   workload::FileId owned = workload::kNoFile;
-  for (workload::FileId f : net.peer(2).store.files()) {
+  for (workload::FileId f : net.store_files(2)) {
     owned = f;
     break;
   }
@@ -95,10 +96,10 @@ TEST(Network, ReplyMessagesMatchPathLength) {
   for (NodeId leaf = 1; leaf < 5; ++leaf) star.add_edge(0, leaf);
   Network net(tiny_config(), std::move(star), flooding_factory());
   workload::FileId owned = workload::kNoFile;
-  for (workload::FileId f : net.peer(3).store.files()) {
+  for (workload::FileId f : net.store_files(3)) {
     bool elsewhere = false;
     for (NodeId n = 0; n < 5; ++n) {
-      if (n != 3 && net.peer(n).store.has(f)) elsewhere = true;
+      if (n != 3 && net.store_has(n, f)) elsewhere = true;
     }
     if (!elsewhere) {
       owned = f;
@@ -130,7 +131,7 @@ TEST(Network, DuplicateSuppressionOnACycle) {
 TEST(Network, ExpandingRingStopsEarlyOnNearbyContent) {
   Network net(tiny_config(), line_graph(8), flooding_factory());
   workload::FileId owned = workload::kNoFile;
-  for (workload::FileId f : net.peer(1).store.files()) {
+  for (workload::FileId f : net.store_files(1)) {
     owned = f;
     break;
   }
@@ -159,7 +160,7 @@ TEST(Network, SampleTargetRespectsInterests) {
   config.content.categories = 64;
   Network net(config, line_graph(10), flooding_factory());
   for (NodeId n = 0; n < 10; ++n) {
-    const auto& cats = net.peer(n).profile.categories();
+    const auto& cats = net.profile(n).categories();
     for (int i = 0; i < 20; ++i) {
       const workload::FileId target = net.sample_target(n);
       const workload::Category cat = net.catalogue().category_of(target);
@@ -173,6 +174,24 @@ TEST(Network, SetPolicySwapsBehaviour) {
   net.set_policy(0, std::make_unique<KRandomWalkPolicy>(1));
   EXPECT_EQ(net.policy(0).name(), "k-random-walk(1)");
   EXPECT_EQ(net.policy(1).name(), "flooding");
+}
+
+// A null policy must fail loudly in every build type, not crash the next
+// search once Release strips the asserts.
+TEST(Network, SetPolicyRejectsNull) {
+  Network net(tiny_config(), line_graph(4), flooding_factory());
+  EXPECT_THROW(net.set_policy(1, nullptr), std::invalid_argument);
+  EXPECT_EQ(net.policy(1).name(), "flooding");  // the old policy stays
+  EXPECT_EQ(net.search(0, unowned_file(net), {.ttl = 3}).nodes_reached, 4u);
+}
+
+TEST(Network, FactoryReturningNullThrows) {
+  EXPECT_THROW(Network(tiny_config(), line_graph(4),
+                       [](NodeId node) -> std::unique_ptr<RoutingPolicy> {
+                         if (node == 2) return nullptr;
+                         return std::make_unique<FloodingPolicy>();
+                       }),
+               std::invalid_argument);
 }
 
 // Learning hook plumbing: a recording policy observes reply paths.
@@ -206,9 +225,9 @@ TEST(Network, ReplyPathTeachesEveryIntermediateNode) {
               [](NodeId) { return std::make_unique<RecordingPolicy>(); });
   // Find a file held by node 4 and nobody closer to 0.
   workload::FileId target = workload::kNoFile;
-  for (workload::FileId f : net.peer(4).store.files()) {
+  for (workload::FileId f : net.store_files(4)) {
     bool closer = false;
-    for (NodeId n = 0; n < 4; ++n) closer |= net.peer(n).store.has(f);
+    for (NodeId n = 0; n < 4; ++n) closer |= net.store_has(n, f);
     if (!closer) {
       target = f;
       break;

@@ -44,7 +44,7 @@ TEST(SimEngine, ShardAndThreadResolutionClampsToPopulation) {
 
 TEST(SimEngine, LegacyBuildMatchesShardedPopulationShape) {
   EngineConfig legacy;
-  legacy.build = EngineConfig::Build::kLegacy;
+  legacy.build = EngineConfig::Build::kSequential;
   Engine a(legacy, small_graph(9), flooding_factory());
 
   EngineConfig sharded = legacy;
