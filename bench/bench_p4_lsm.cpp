@@ -4,7 +4,7 @@
 // and RAM.  This bench drives the tiered store the way a long-running
 // aar_node would: a sustained stream of (source, replying_neighbor) count
 // deltas under a memtable budget far below the ingested volume (so the
-// store MUST spill: flushes + leveled compactions while ingesting), then a
+// store MUST go to disk: flushes + leveled compactions while ingesting), then a
 // point-lookup phase over a mix of resident and absent antecedents (the
 // bloom path), then a full reopen — recovery on the multi-level directory
 // the workload left behind.

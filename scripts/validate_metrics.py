@@ -146,13 +146,9 @@ LSM_COUNTERS = {
 LSM_GAUGES = {"lsm.runs", "lsm.memtable_bytes", "lsm.entries_on_disk"}
 LSM_TIMERS = {"lsm.flush", "lsm.compaction"}
 
-# The mining.* family (docs/STORAGE.md "Miner spill path"): incremental
-# miner maintenance plus the spill/restore counters added with aar::lsm.
-MINING_COUNTERS = {
-    "mining.evictions",
-    "mining.spilled_antecedents",
-    "mining.restored_antecedents",
-}
+# The mining.* family (docs/OBSERVABILITY.md, IncrementalRuleMiner row):
+# incremental miner maintenance.
+MINING_COUNTERS = {"mining.evictions"}
 MINING_GAUGES = {"mining.antecedents"}
 MINING_TIMERS = {"mining.snapshot"}
 

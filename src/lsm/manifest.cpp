@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cinttypes>
@@ -83,6 +84,19 @@ bool exists(const std::string& path) {
 
 }  // namespace
 
+bool is_run_file_name(std::string_view name) noexcept {
+  constexpr std::string_view kPrefix = "run-";
+  constexpr std::string_view kSuffix = ".aarlsm";
+  if (name.size() <= kPrefix.size() + kSuffix.size() ||
+      !name.starts_with(kPrefix) || !name.ends_with(kSuffix)) {
+    return false;
+  }
+  const std::string_view digits = name.substr(
+      kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
+  return std::all_of(digits.begin(), digits.end(),
+                     [](char c) { return c >= '0' && c <= '9'; });
+}
+
 std::string encode_manifest(const Manifest& manifest) {
   std::ostringstream body;
   body << kMagicLine << '\n';
@@ -131,7 +145,8 @@ bool decode_manifest(std::string_view bytes, Manifest& out) {
     ManifestRun run;
     char file[256];
     if (std::sscanf(line.c_str(), "run %" SCNu32 " %255s %" SCNu64, &run.level,
-                    file, &run.entries) != 3) {
+                    file, &run.entries) != 3 ||
+        run.level > kMaxRunLevel || !is_run_file_name(file)) {
       return false;
     }
     run.file = file;
@@ -184,16 +199,9 @@ std::vector<LoadedManifest> manifest_candidates(const std::string& dir) {
     LoadedManifest loaded;
     loaded.manifest = std::move(manifest);
     loaded.source = name;
-    loaded.bytes = std::move(bytes);
     out.push_back(std::move(loaded));
   }
   return out;
-}
-
-LoadedManifest load_manifest(const std::string& dir) {
-  std::vector<LoadedManifest> candidates = manifest_candidates(dir);
-  if (candidates.empty()) return LoadedManifest{};
-  return std::move(candidates.front());
 }
 
 }  // namespace aar::lsm

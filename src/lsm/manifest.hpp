@@ -32,6 +32,17 @@ inline constexpr const char* kManifestName = "MANIFEST";
 inline constexpr const char* kManifestPrevName = "MANIFEST.prev";
 inline constexpr const char* kManifestTmpName = "MANIFEST.tmp";
 
+/// Deepest level a manifest may name.  Reaching it takes fanout^64
+/// flushes, so no store ever writes past it; a larger value is a hostile
+/// or corrupt manifest, not a deep store.
+inline constexpr std::uint32_t kMaxRunLevel = 64;
+
+/// Whether `name` is a run file this store writes: `run-<digits>.aarlsm`.
+/// The manifest parser rejects any other name (a path like
+/// `../x.aarlsm` would escape the store directory) and recovery's orphan
+/// sweep deletes only names that pass it.
+[[nodiscard]] bool is_run_file_name(std::string_view name) noexcept;
+
 struct ManifestRun {
   std::uint32_t level = 0;
   std::string file;  ///< name relative to the store directory
@@ -52,7 +63,8 @@ struct Manifest {
 /// given Manifest value — the CI determinism gate diffs these bytes.
 [[nodiscard]] std::string encode_manifest(const Manifest& manifest);
 
-/// Strict parse + CRC check; returns false on any violation.
+/// Strict parse + CRC check; returns false on any violation, including a
+/// run level above kMaxRunLevel or a file name is_run_file_name rejects.
 [[nodiscard]] bool decode_manifest(std::string_view bytes, Manifest& out);
 
 /// Atomically install `manifest` as `dir`/MANIFEST (rename-swap dance
@@ -62,18 +74,14 @@ void install_manifest(const std::string& dir, const Manifest& manifest);
 
 struct LoadedManifest {
   Manifest manifest;
-  std::string source;  ///< "MANIFEST", "MANIFEST.prev", or "" (empty store)
-  std::string bytes;   ///< raw bytes of the file that parsed, if any
+  std::string source;  ///< "MANIFEST" or "MANIFEST.prev"
 };
 
-/// Walk the fallback ladder.  Missing/corrupt files step down; only an
-/// I/O error other than ENOENT throws.
-[[nodiscard]] LoadedManifest load_manifest(const std::string& dir);
-
 /// Every manifest file in `dir` that parses, in ladder order (MANIFEST
-/// first, then MANIFEST.prev).  The store's recovery needs the full list
-/// because a manifest can parse cleanly yet reference a run that fails
-/// verification — that failure steps down the same ladder.
+/// first, then MANIFEST.prev).  Missing/corrupt files are skipped; only an
+/// I/O error other than ENOENT throws.  The store's recovery needs the
+/// full list because a manifest can parse cleanly yet reference a run
+/// that fails verification — that failure steps down the same ladder.
 [[nodiscard]] std::vector<LoadedManifest> manifest_candidates(
     const std::string& dir);
 

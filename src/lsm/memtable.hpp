@@ -45,10 +45,8 @@ class Memtable {
   /// Append every buffered entry for `antecedent` (unsorted, raw sums).
   void collect_antecedent(HostId antecedent, std::vector<Entry>& out) const {
     if (!has_antecedent(antecedent)) return;
-    const Key begin = antecedent_begin(antecedent);
-    const Key end = begin + 0x100000000ull;
     for (const auto& [key, count] : map_) {
-      if (key >= begin && key < end) out.push_back(Entry{key, count});
+      if (key_antecedent(key) == antecedent) out.push_back(Entry{key, count});
     }
   }
 
@@ -58,7 +56,6 @@ class Memtable {
     for (const auto& [key, count] : map_) out.push_back(Entry{key, count});
   }
 
-  [[nodiscard]] std::size_t entries() const noexcept { return map_.size(); }
   [[nodiscard]] bool empty() const noexcept { return map_.empty(); }
 
   /// Estimated resident bytes (drives the flush trigger).

@@ -26,6 +26,8 @@ using store::put_varint;
 constexpr char kHeaderMagic[8] = {'a', 'a', 'r', 'L', 'S', 'M', 'r', '1'};
 constexpr char kFooterMagic[8] = {'a', 'a', 'r', 'L', 'S', 'M', 'e', '1'};
 constexpr std::size_t kFooterSize = 44;
+/// Bloom bits per distinct antecedent in every run's filter.
+constexpr std::size_t kBloomBitsPerKey = 10;
 
 [[noreturn]] void io_error(const std::string& path, const char* what) {
   throw std::system_error(errno, std::generic_category(),
@@ -127,13 +129,13 @@ std::uint64_t write_run_stream(const std::string& path,
   std::uint64_t offset = sizeof kHeaderMagic;
 
   const std::string block_point = options.fault_prefix + ".block";
-  Bloom bloom(bloom_keys_hint, options.bits_per_key);
+  Bloom bloom(bloom_keys_hint, kBloomBitsPerKey);
 
   std::string index_payload;
   std::uint32_t block_count = 0;
   std::string index_body;  // per-block records, prefixed by count later
 
-  BlockBuilder builder(options.restart_interval);
+  BlockBuilder builder;
   std::string block;
   Key block_last = 0;
   HostId last_antecedent = 0;

@@ -37,9 +37,7 @@
 namespace aar::lsm {
 
 struct RunWriterOptions {
-  std::size_t block_bytes = 4096;    ///< target framed block size
-  std::size_t bits_per_key = 10;     ///< bloom bits per distinct antecedent
-  std::uint32_t restart_interval = kDefaultRestartInterval;
+  std::size_t block_bytes = 4096;  ///< target framed block size
   /// Crash-point prefix: "run" for flushes, "compaction" for merges —
   /// fault_point("<prefix>.block") fires after each data block write.
   std::string fault_prefix = "run";

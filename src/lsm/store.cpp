@@ -1,7 +1,6 @@
 #include "lsm/store.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -49,20 +48,6 @@ Store::Store(std::string dir, StoreOptions options)
     : dir_(std::move(dir)), options_(options) {
   (void)metrics();
   recover();
-  if (options_.background_compaction) {
-    bg_thread_ = std::thread([this] { background_loop(); });
-  }
-}
-
-Store::~Store() {
-  if (bg_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      bg_stop_ = true;
-    }
-    bg_cv_.notify_all();
-    bg_thread_.join();
-  }
 }
 
 // ------------------------------------------------------------------- recovery
@@ -82,7 +67,7 @@ void Store::recover() {
     for (const ManifestRun& run : candidate.manifest.runs) {
       std::shared_ptr<RunReader> reader;
       try {
-        reader = RunReader::open(dir_ + "/" + run.file, options_.verify_on_open);
+        reader = RunReader::open(dir_ + "/" + run.file, /*verify_blocks=*/true);
       } catch (const std::exception&) {
         ok = false;
         break;
@@ -119,9 +104,7 @@ void Store::recover() {
   for (const ManifestRun& run : adopted.runs) referenced.push_back(run.file);
   for (const fs::directory_entry& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
-    const bool is_run = name.rfind("run-", 0) == 0 &&
-                        name.size() > 11 &&
-                        name.compare(name.size() - 7, 7, ".aarlsm") == 0;
+    const bool is_run = is_run_file_name(name);
     const bool is_tmp = name == kManifestTmpName;
     if (!is_run && !is_tmp) continue;
     if (is_run &&
@@ -132,16 +115,7 @@ void Store::recover() {
     fs::remove(entry.path(), ec);
   }
 
-  std::uint64_t on_disk = 0;
-  std::uint64_t run_count = 0;
-  for (const auto& level : levels_) {
-    for (const auto& run : level) {
-      on_disk += run->entry_count();
-      ++run_count;
-    }
-  }
-  metrics().runs.set(static_cast<double>(run_count));
-  metrics().entries_on_disk.set(static_cast<double>(on_disk));
+  refresh_disk_gauges_locked();
 }
 
 // --------------------------------------------------------------------- writes
@@ -167,6 +141,19 @@ Manifest Store::snapshot_manifest_locked() const {
   return manifest;
 }
 
+void Store::refresh_disk_gauges_locked() const {
+  std::uint64_t on_disk = 0;
+  std::uint64_t run_count = 0;
+  for (const auto& level : levels_) {
+    for (const auto& run : level) {
+      on_disk += run->entry_count();
+      ++run_count;
+    }
+  }
+  metrics().runs.set(static_cast<double>(run_count));
+  metrics().entries_on_disk.set(static_cast<double>(on_disk));
+}
+
 void Store::add(HostId antecedent, HostId consequent, std::int64_t delta) {
   std::lock_guard<std::mutex> lock(mu_);
   memtable_.add(make_key(antecedent, consequent), delta);
@@ -174,12 +161,9 @@ void Store::add(HostId antecedent, HostId consequent, std::int64_t delta) {
       static_cast<double>(memtable_.approximate_bytes()));
   if (memtable_.approximate_bytes() >= options_.memtable_bytes) {
     flush_locked();
-    // Writer-driven compaction: without the background thread the write
-    // path itself must keep the level structure bounded, or a sustained
+    // The write path keeps the level structure bounded, or a sustained
     // ingest accumulates level-0 runs and every lookup pays O(runs).
-    if (!options_.background_compaction) {
-      while (compact_locked()) {
-      }
+    while (compact_locked()) {
     }
   }
 }
@@ -205,7 +189,6 @@ void Store::flush_locked() {
   const std::string file = run_file_name(seq);
   RunWriterOptions wopts;
   wopts.block_bytes = options_.block_bytes;
-  wopts.bits_per_key = options_.bits_per_key;
   wopts.fault_prefix = "run";
   write_run(dir_ + "/" + file, entries, wopts);
   fault_point("run.sealed");
@@ -223,23 +206,7 @@ void Store::flush_locked() {
   ++flush_count_;
   metrics().flushes.add(1);
 
-  std::uint64_t on_disk = 0;
-  std::uint64_t run_count = 0;
-  for (const auto& level : levels_) {
-    for (const auto& run : level) {
-      on_disk += run->entry_count();
-      ++run_count;
-    }
-  }
-  metrics().runs.set(static_cast<double>(run_count));
-  metrics().entries_on_disk.set(static_cast<double>(on_disk));
-}
-
-bool Store::needs_compaction_locked() const {
-  for (const auto& level : levels_) {
-    if (level.size() >= options_.level_fanout) return true;
-  }
-  return false;
+  refresh_disk_gauges_locked();
 }
 
 bool Store::compact() {
@@ -294,7 +261,6 @@ bool Store::compact_locked() {
   const std::string file = run_file_name(seq);
   RunWriterOptions wopts;
   wopts.block_bytes = options_.block_bytes;
-  wopts.bits_per_key = options_.bits_per_key;
   wopts.fault_prefix = "compaction";
   const std::uint64_t written =
       write_run_stream(dir_ + "/" + file, next, input_entries, wopts);
@@ -308,17 +274,10 @@ bool Store::compact_locked() {
     fs::remove(dir_ + "/" + file, ec);
   }
 
-  Manifest manifest;
+  Manifest manifest = snapshot_manifest_locked();
   manifest.version = manifest_version_ + 1;
-  manifest.next_file = next_file_;
-  for (std::uint32_t level = 0; level < levels_.size(); ++level) {
-    if (level == target) continue;
-    for (const auto& run : levels_[level]) {
-      manifest.runs.push_back(ManifestRun{
-          level, fs::path(run->path()).filename().string(),
-          run->entry_count()});
-    }
-  }
+  std::erase_if(manifest.runs,
+                [&](const ManifestRun& run) { return run.level == target; });
   if (merged) {
     manifest.runs.push_back(ManifestRun{
         static_cast<std::uint32_t>(target + 1), file, merged->entry_count()});
@@ -338,16 +297,7 @@ bool Store::compact_locked() {
   ++compaction_count_;
   metrics().compactions.add(1);
 
-  std::uint64_t on_disk = 0;
-  std::uint64_t run_count = 0;
-  for (const auto& level : levels_) {
-    for (const auto& run : level) {
-      on_disk += run->entry_count();
-      ++run_count;
-    }
-  }
-  metrics().runs.set(static_cast<double>(run_count));
-  metrics().entries_on_disk.set(static_cast<double>(on_disk));
+  refresh_disk_gauges_locked();
   return true;
 }
 
@@ -376,18 +326,6 @@ std::int64_t Store::get_count(HostId antecedent, HostId consequent) const {
     }
   }
   return sum;
-}
-
-bool Store::may_contain(HostId antecedent) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (memtable_.has_antecedent(antecedent)) return true;
-  for (const auto& level : levels_) {
-    for (const auto& run : level) {
-      if (run->may_contain(antecedent)) return true;
-    }
-  }
-  metrics().bloom_skips.add(1);
-  return false;
 }
 
 void Store::get_antecedent(
@@ -455,7 +393,6 @@ Store::Stats Store::stats() const {
   Stats stats;
   stats.flushes = flush_count_;
   stats.compactions = compaction_count_;
-  stats.memtable_entries = memtable_.entries();
   stats.recovered_from = recovered_from_;
   for (std::size_t level = 0; level < levels_.size(); ++level) {
     if (!levels_[level].empty()) stats.levels = level + 1;
@@ -465,41 +402,6 @@ Store::Stats Store::stats() const {
     }
   }
   return stats;
-}
-
-// ----------------------------------------------------------------- spill sink
-
-void Store::spill_add(std::uint32_t antecedent, std::uint32_t consequent,
-                      std::int64_t delta) {
-  add(antecedent, consequent, delta);
-}
-
-bool Store::spill_may_contain(std::uint32_t antecedent) {
-  return may_contain(antecedent);
-}
-
-void Store::spill_read(
-    std::uint32_t antecedent,
-    std::vector<std::pair<std::uint32_t, std::int64_t>>& out) {
-  std::vector<std::pair<HostId, std::int64_t>> sums;
-  get_antecedent(antecedent, sums);
-  for (const auto& [consequent, sum] : sums) {
-    if (sum > 0) out.emplace_back(consequent, sum);
-  }
-}
-
-// ----------------------------------------------------------------- background
-
-void Store::background_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!bg_stop_) {
-    bg_cv_.wait_for(lock,
-                    std::chrono::milliseconds(options_.compaction_interval_ms),
-                    [this] { return bg_stop_; });
-    if (bg_stop_) break;
-    while (compact_locked()) {
-    }
-  }
 }
 
 }  // namespace aar::lsm

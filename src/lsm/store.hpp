@@ -3,84 +3,68 @@
 // (docs/STORAGE.md).
 //
 // Writes land in a Memtable; when its byte estimate crosses the budget
-// the memtable is drained into an immutable level-0 run and the manifest
-// is atomically swapped (in synchronous mode the writing add() then also
-// runs compaction to a fixpoint, so a sustained ingest keeps its level
-// structure bounded without any background thread).  When a level
-// accumulates `level_fanout` runs,
+// the memtable is drained into an immutable level-0 run, the manifest is
+// atomically swapped, and the writing add() then runs compaction to a
+// fixpoint — compaction always runs on the write path, so a sustained
+// ingest keeps its level structure bounded without any other thread.
+// When a level accumulates `level_fanout` runs,
 // compaction merges them all into one run at the next level, summing
 // counts per key (addition is associative, so any merge order yields the
 // same store) and dropping exact-zero sums (zero is the identity — a
 // future delta for a dropped key starts from the same place either way;
 // negative sums are kept, since dropping them would change later sums).
 //
-// Reads sum memtable + every live run.  `may_contain` answers the fast
-// negative through the memtable's antecedent set and each run's bloom
-// filter, which is what lets the Forwarder fall back to flooding — and
-// the miner skip a restore read — without touching any block.
+// Reads sum memtable + every live run; each run's bloom filter skips
+// runs that cannot hold the antecedent without touching any block.
 //
 // Recovery (= the constructor): load MANIFEST, falling back to
 // MANIFEST.prev and then to an empty store if parsing, CRC, or any
-// referenced run fails verification; reinstall a fresh manifest when the
+// referenced run fails verification (every block of every referenced
+// run is CRC-checked at open); reinstall a fresh manifest when the
 // ladder stepped down; delete orphaned run/tmp files.  Corruption is
 // never fatal — every failure mode lands on the most recent fully
 // committed version.
 //
-// Thread safety: all public methods lock one internal mutex; the
-// optional background thread compacts under the same lock.  Crash-point
-// hooks (lsm/fault.hpp) must only be armed in synchronous mode — a
-// CrashPoint escaping the background thread would terminate.  After a
-// CrashPoint unwinds through any method, the Store object is
-// unspecified and must be discarded (re-open the directory, as a real
-// restart would).
+// Thread safety: all public methods lock one internal mutex.  After a
+// CrashPoint (lsm/fault.hpp) unwinds through any method, the Store
+// object is unspecified and must be discarded (re-open the directory,
+// as a real restart would).
 
 #include <cstdint>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "lsm/manifest.hpp"
 #include "lsm/memtable.hpp"
 #include "lsm/run.hpp"
-#include "mining/spill.hpp"
 
 namespace aar::lsm {
 
 struct StoreOptions {
   std::size_t memtable_bytes = 4u << 20;  ///< flush trigger
   std::size_t block_bytes = 4096;
-  std::size_t bits_per_key = 10;
   std::uint32_t level_fanout = 4;  ///< runs per level before compaction
-  /// CRC-verify every block of every referenced run at open (runs are
-  /// immutable, so this covers all corruption acquired while down).
-  bool verify_on_open = true;
-  bool background_compaction = false;
-  int compaction_interval_ms = 50;
 };
 
-class Store final : public mining::SpillSink {
+class Store {
  public:
   /// Opens (and if necessary recovers) the store in `dir`, creating the
   /// directory when missing.
   explicit Store(std::string dir, StoreOptions options = {});
-  ~Store() override;
 
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
 
-  /// Merge `delta` into (antecedent, consequent); may trigger a flush.
+  /// Merge `delta` into (antecedent, consequent); may trigger a flush
+  /// and the compactions it makes due.
   void add(HostId antecedent, HostId consequent, std::int64_t delta);
 
   /// Total running sum across memtable and all runs (0 when absent).
   [[nodiscard]] std::int64_t get_count(HostId antecedent,
                                        HostId consequent) const;
-
-  /// Fast negative: false means no nonzero state for `antecedent`.
-  [[nodiscard]] bool may_contain(HostId antecedent) const;
 
   /// All consequents of `antecedent` with nonzero total, ascending.
   void get_antecedent(
@@ -115,29 +99,19 @@ class Store final : public mining::SpillSink {
     std::uint64_t compactions = 0;
     std::uint64_t runs = 0;
     std::uint64_t levels = 0;
-    std::uint64_t memtable_entries = 0;
     std::uint64_t entries_on_disk = 0;
     std::string recovered_from;  ///< manifest the constructor loaded
   };
   [[nodiscard]] Stats stats() const;
 
-  // mining::SpillSink — the miner's durable cold storage.
-  void spill_add(std::uint32_t antecedent, std::uint32_t consequent,
-                 std::int64_t delta) override;
-  [[nodiscard]] bool spill_may_contain(std::uint32_t antecedent) override;
-  void spill_read(
-      std::uint32_t antecedent,
-      std::vector<std::pair<std::uint32_t, std::int64_t>>& out) override;
-
  private:
   void recover();
   void flush_locked();
   bool compact_locked();
-  [[nodiscard]] bool needs_compaction_locked() const;
-  void install_locked(Manifest manifest);
   [[nodiscard]] Manifest snapshot_manifest_locked() const;
+  /// Publish the lsm.runs / lsm.entries_on_disk gauges from levels_.
+  void refresh_disk_gauges_locked() const;
   [[nodiscard]] std::string run_file_name(std::uint64_t seq) const;
-  void background_loop();
 
   std::string dir_;
   StoreOptions options_;
@@ -153,10 +127,6 @@ class Store final : public mining::SpillSink {
   /// Which manifest rung the constructor adopted: "MANIFEST",
   /// "MANIFEST.prev", or "empty" when the whole ladder failed.
   std::string recovered_from_ = "empty";
-
-  std::condition_variable bg_cv_;
-  bool bg_stop_ = false;
-  std::thread bg_thread_;
 };
 
 }  // namespace aar::lsm

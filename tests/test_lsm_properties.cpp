@@ -11,28 +11,24 @@
 //     applied to lsm frames).
 //   * Bloom filter — zero false negatives ever; false-positive rate inside
 //     the banded expectation for 10 bits/key.
-//   * Miner spill differential — a miner spilling cold antecedents into a
-//     Store must snapshot byte-identical rules to a miner that never
-//     spills, across eviction, purge, and clear.
-//   * Background compaction — concurrent writers against the maintenance
-//     thread (the TSan target; see .github/workflows/ci.yml).
+//   * Concurrent writers — four threads whose add() calls flush and
+//     compact inline under contention, the way aar_node's shards share
+//     one archive (the TSan target; see .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lsm/bloom.hpp"
 #include "lsm/format.hpp"
 #include "lsm/store.hpp"
-#include "mining/incremental_miner.hpp"
 #include "test_tmp.hpp"
-#include "trace/record.hpp"
 #include "util/rng.hpp"
 
 namespace aar::lsm {
@@ -94,8 +90,7 @@ TEST(LsmDifferential, FiveHundredRandomTrialsMatchShadowByteForByte) {
     for (std::size_t op = 0; op < ops; ++op) {
       const auto a = static_cast<HostId>(rng.below(hosts));
       const auto c = static_cast<HostId>(rng.below(hosts));
-      // Mostly increments, some negative corrections (the miner's restore
-      // deltas), occasionally large.
+      // Mostly increments, some negative corrections, occasionally large.
       std::int64_t delta = 1 + static_cast<std::int64_t>(rng.below(5));
       if (rng.below(4) == 0) delta = -delta;
       if (rng.below(16) == 0) delta *= 1000;
@@ -137,6 +132,26 @@ TEST(LsmDifferential, ReopenedStoreServesTheFlushedState) {
   Store reopened(tmp.path("db"));
   EXPECT_EQ(reopened.dump_text(), shadow.dump_text());
   EXPECT_EQ(reopened.stats().recovered_from, "MANIFEST");
+}
+
+// The highest host id's key range ends at the top of the key space; the
+// memtable must serve it exactly as a flushed run does.
+TEST(LsmDifferential, HighestHostIdReadsTheSameBeforeAndAfterFlush) {
+  ScopedTempDir tmp("aar_lsm_top");
+  constexpr HostId kTop = 0xFFFFFFFF;
+  Store store(tmp.path("db"));
+  store.add(kTop, 1, 5);
+  store.add(kTop, kTop, 2);
+  store.add(7, 1, 3);
+  const std::vector<std::pair<HostId, std::int64_t>> expected{{1, 5},
+                                                              {kTop, 2}};
+  std::vector<std::pair<HostId, std::int64_t>> before;
+  store.get_antecedent(kTop, before);
+  EXPECT_EQ(before, expected);
+  store.flush();
+  std::vector<std::pair<HostId, std::int64_t>> after;
+  store.get_antecedent(kTop, after);
+  EXPECT_EQ(after, expected);
 }
 
 // --- block slicing invariance --------------------------------------------
@@ -270,105 +285,39 @@ TEST(LsmBloom, SerializationRoundTripsAndRejectsCorruption) {
       CorruptBlock);
 }
 
-// --- miner spill differential --------------------------------------------
+// --- concurrent writers (the TSan target) --------------------------------
 
-std::string snapshot_bytes(mining::IncrementalRuleMiner& miner) {
-  std::ostringstream out;
-  miner.snapshot().save(out);
-  return out.str();
-}
-
-trace::QueryReplyPair pair_at(std::uint32_t source, std::uint32_t neighbor,
-                              double time) {
-  trace::QueryReplyPair pair{};
-  pair.source_host = source;
-  pair.replying_neighbor = neighbor;
-  pair.query = source;
-  pair.time = time;
-  return pair;
-}
-
-TEST(LsmSpill, MinerSnapshotsAreByteIdenticalWithAndWithoutSpilling) {
-  ScopedTempDir tmp("aar_lsm_spill");
-  const mining::MinerConfig config{.window = 256, .min_support = 2};
-  mining::IncrementalRuleMiner plain(config);
-  mining::IncrementalRuleMiner spilling(config);
-  Store sink(tmp.path("sink"), {.memtable_bytes = 512});
-  spilling.attach_spill(&sink);
-
-  util::Rng rng(2024);
-  double clock = 0.0;
-  const auto step = [&](std::size_t pairs) {
-    for (std::size_t i = 0; i < pairs; ++i) {
-      const auto source = static_cast<std::uint32_t>(1 + rng.below(40));
-      const auto neighbor = static_cast<std::uint32_t>(1 + rng.below(12));
-      const trace::QueryReplyPair pair = pair_at(source, neighbor, clock);
-      clock += 1.0;
-      plain.add(pair);
-      spilling.add(pair);
-      // spill_cold only evicts antecedents already captured by a snapshot
-      // (dirty ones still owe the ruleset a rebuild), so snapshot on a
-      // cadence — both miners, to keep them in lockstep — then spill
-      // aggressively: at most 8 antecedents stay resident, so most
-      // touches go through the restore path.
-      if (i % 16 == 15) {
-        ASSERT_EQ(snapshot_bytes(spilling), snapshot_bytes(plain));
-        spilling.spill_cold(8);
-      }
-    }
-    ASSERT_EQ(snapshot_bytes(spilling), snapshot_bytes(plain));
-    ASSERT_EQ(plain.distinct_antecedents(), spilling.distinct_antecedents());
-  };
-
-  step(400);  // window churn: evictions decrement restored counts
-  EXPECT_GT(sink.stats().flushes + sink.stats().memtable_entries, 0u);
-
-  // purge_host: a bulk recount path that must discard sink state.
-  plain.purge_host(5);
-  spilling.purge_host(5);
-  ASSERT_EQ(snapshot_bytes(spilling), snapshot_bytes(plain));
-  step(200);
-
-  // clear: the other bulk path.
-  plain.clear();
-  spilling.clear();
-  ASSERT_EQ(snapshot_bytes(spilling), snapshot_bytes(plain));
-  step(200);
-
-  EXPECT_GT(spilling.spilled_antecedents() + sink.stats().entries_on_disk,
-            0u);
-}
-
-// --- background compaction (the TSan target) ------------------------------
-
-TEST(LsmStoreThreads, BackgroundCompactionRacesWriters) {
-  ScopedTempDir tmp("aar_lsm_bg");
+TEST(LsmStoreThreads, ConcurrentWritersCompactOnTheWritePath) {
+  ScopedTempDir tmp("aar_lsm_writers");
   ShadowMap expected;
   {
     StoreOptions options;
     options.memtable_bytes = 1024;
-    options.background_compaction = true;
-    options.compaction_interval_ms = 1;
     Store store(tmp.path("db"), options);
     std::vector<std::thread> writers;
     const int kThreads = 4;
     const int kPerThread = 3000;
+    // More keys per writer than the 1 KiB memtable holds, so every writer
+    // flushes and compacts on its own, whatever the thread schedule.
+    const int kConsequents = 97;
     for (int t = 0; t < kThreads; ++t) {
       writers.emplace_back([&store, t] {
         for (int i = 0; i < kPerThread; ++i) {
-          store.add(static_cast<HostId>(t), static_cast<HostId>(i % 17), 1);
+          store.add(static_cast<HostId>(t), static_cast<HostId>(i % kConsequents), 1);
         }
       });
     }
     for (int t = 0; t < kThreads; ++t) {
       for (int i = 0; i < kPerThread; ++i) {
-        expected.add(static_cast<HostId>(t), static_cast<HostId>(i % 17), 1);
+        expected.add(static_cast<HostId>(t), static_cast<HostId>(i % kConsequents), 1);
       }
     }
     for (std::thread& w : writers) w.join();
+    // The writers themselves flushed and compacted.
+    EXPECT_GT(store.stats().compactions, 0u);
     store.flush();
     EXPECT_EQ(store.dump_text(), expected.dump_text());
-  }  // dtor joins the compaction thread
+  }
   Store reopened(tmp.path("db"));
   EXPECT_EQ(reopened.dump_text(), expected.dump_text());
 }

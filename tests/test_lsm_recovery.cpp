@@ -9,11 +9,12 @@
 //     state before the interrupted operation, or — once the new manifest
 //     is installed — after it.  Crashed compactions never change the
 //     logical contents at all (counts merge associatively).
-//   * Torn-write / corruption corpus — truncations at every suffix length
-//     and single-bit flips across run files and the manifest must never
-//     abort an open: the CRC layers reject the damage and the manifest
-//     ladder (MANIFEST -> MANIFEST.prev -> empty) steps down to the
-//     newest rung whose runs all verify.
+//   * Torn-write / corruption corpus — truncations at every suffix length,
+//     single-bit flips across run files and the manifest, and CRC-valid
+//     manifests naming a hostile level or path must never abort an open:
+//     the CRC layers and the strict manifest parser reject the damage and
+//     the manifest ladder (MANIFEST -> MANIFEST.prev -> empty) steps down
+//     to the newest rung whose runs all verify.
 //   * Determinism — the same seed and the same kill point recover to
 //     byte-identical manifests and dumps across independent runs (the CI
 //     gate relies on this).
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <string>
@@ -34,6 +36,7 @@
 
 #include "lsm/fault.hpp"
 #include "lsm/format.hpp"
+#include "lsm/manifest.hpp"
 #include "lsm/store.hpp"
 #include "test_tmp.hpp"
 #include "util/rng.hpp"
@@ -306,7 +309,7 @@ TEST(LsmCorruption, BitFlippedRunFallsBackToLastGoodManifest) {
     f.seekp(static_cast<std::streamoff>(size / 2));
     f.write(&byte, 1);
   }
-  Store store(dir, tight_options());  // verify_on_open spots the flip
+  Store store(dir, tight_options());  // open-time block CRCs spot the flip
   EXPECT_NE(store.stats().recovered_from, "MANIFEST");
   EXPECT_NE(store.dump_text(), full);  // the newest flush fell away...
   const std::int64_t before = store.get_count(9, 9);  // surviving rung's sum
@@ -343,6 +346,85 @@ TEST(LsmCorruption, MangledManifestStepsDownTheLadder) {
   store.add(1, 1, 1);
   store.flush();
   EXPECT_EQ(store.get_count(1, 1), 1);
+}
+
+/// Decode `dir`/`name`, which the test requires to parse.
+Manifest read_manifest(const std::string& dir, const char* name) {
+  std::ifstream in(dir + "/" + name, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+  Manifest manifest;
+  EXPECT_TRUE(decode_manifest(bytes, manifest)) << name;
+  return manifest;
+}
+
+void write_manifest(const std::string& dir, const Manifest& manifest) {
+  std::ofstream(dir + "/" + kManifestName, std::ios::binary | std::ios::trunc)
+      << encode_manifest(manifest);
+}
+
+// A CRC-valid manifest is still untrusted bytes: a level past kMaxRunLevel
+// would size the level table from it, and a run name outside
+// `run-<digits>.aarlsm` would open (and, once compacted, delete) a file
+// outside the store.  Both must step down the ladder like a CRC failure.
+TEST(LsmCorruption, HostileManifestLevelAndPathStepDownTheLadder) {
+  ScopedTempDir tmp("aar_lsm_hostile");
+
+  // Level 2^32-1: `level + 1` wraps, so trusting it indexes past the table.
+  {
+    const std::string dir = tmp.path("level");
+    (void)seed_store(dir);
+    const Manifest prev = read_manifest(dir, kManifestPrevName);
+    Manifest hostile = read_manifest(dir, kManifestName);
+    hostile.runs.back().level = 0xFFFFFFFFu;
+    write_manifest(dir, hostile);
+    Store store(dir, tight_options());
+    EXPECT_EQ(store.stats().recovered_from, "MANIFEST.prev");
+    Manifest adopted;
+    ASSERT_TRUE(decode_manifest(store.manifest_bytes(), adopted));
+    EXPECT_EQ(adopted.runs, prev.runs);
+  }
+
+  // Every level past the bound is rejected by the parser itself (a level
+  // in the hundreds of millions would otherwise ask for a multi-GB table).
+  Manifest probe;
+  probe.runs.push_back(ManifestRun{kMaxRunLevel, "run-00000001.aarlsm", 1});
+  Manifest parsed;
+  EXPECT_TRUE(decode_manifest(encode_manifest(probe), parsed));
+  for (const std::uint32_t level : {kMaxRunLevel + 1, 300'000'000u}) {
+    probe.runs.back().level = level;
+    EXPECT_FALSE(decode_manifest(encode_manifest(probe), parsed)) << level;
+  }
+  for (const char* name : {"../x.aarlsm", "run-.aarlsm", "run-1x.aarlsm",
+                           "run-1.aarlsm/..", "MANIFEST"}) {
+    probe.runs.back() = ManifestRun{0, name, 1};
+    EXPECT_FALSE(decode_manifest(encode_manifest(probe), parsed)) << name;
+  }
+
+  // `../x.aarlsm`: a well-formed run outside the store directory.
+  {
+    const std::string dir = tmp.path("path");
+    const std::string outside = tmp.path("x.aarlsm");
+    (void)seed_store(dir);
+    const std::vector<std::string> files = run_files(dir);
+    ASSERT_FALSE(files.empty());
+    fs::copy_file(files.back(), outside);
+    Manifest hostile = read_manifest(dir, kManifestName);
+    hostile.runs = {ManifestRun{0, "../x.aarlsm", hostile.runs.back().entries}};
+    write_manifest(dir, hostile);
+    {
+      Store store(dir, tight_options());
+      EXPECT_EQ(store.stats().recovered_from, "MANIFEST.prev");
+      // Drive level-0 compactions: none may touch the outside file.
+      util::Rng rng(77);
+      for (int i = 0; i < 4; ++i) {
+        (void)apply_batch(store, rng, 50);
+        store.flush();
+        (void)store.compact();
+      }
+      EXPECT_GT(store.stats().compactions, 0u);
+    }
+    EXPECT_TRUE(fs::exists(outside));
+  }
 }
 
 // --- determinism gate -----------------------------------------------------
