@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "core/sharded_evaluator.hpp"
 #include "obs/registry.hpp"
 
 namespace aar::core {
@@ -15,17 +16,16 @@ void Strategy::regenerate(Block block) {
   const obs::Timer::Scope scope = build_timer.measure();
   // Slide the miner's window to exactly this block: counting the new pairs
   // and retiring the previous window's is incremental work, and the snapshot
-  // re-materializes only antecedents whose counts actually changed.  An
-  // attached executor counts the block's shards on its pool and merges them
-  // in canonical order — same window, counts, and dirty set either way.
-  if (executor_ != nullptr) {
-    executor_->mine(miner_, block);
-  } else {
-    miner_.add(block);
-    miner_.evict_to(block.size());
-  }
+  // re-materializes only antecedents whose counts actually changed.
+  miner_.add(block);
+  miner_.evict_to(block.size());
   miner_.snapshot();
   ++rulesets_generated_;
+}
+
+BlockMeasures Strategy::measure(Block block, ShardedEvaluator* sharded) const {
+  return sharded != nullptr ? sharded->evaluate(current(), block)
+                            : evaluate(current(), block);
 }
 
 namespace {
@@ -56,10 +56,11 @@ double AdaptiveSlidingWindow::success_threshold() const {
   return threshold_scale_ * threshold_of(success_history_, initial_threshold_);
 }
 
-BlockMeasures AdaptiveSlidingWindow::test_block(Block block) {
+BlockMeasures AdaptiveSlidingWindow::test(Block block,
+                                          ShardedEvaluator* sharded) {
   const double ct = coverage_threshold();
   const double st = success_threshold();
-  const BlockMeasures measures = measure(block);
+  const BlockMeasures measures = measure(block, sharded);
 
   auto push = [this](std::vector<double>& window, double value) {
     window.push_back(value);
@@ -74,19 +75,52 @@ BlockMeasures AdaptiveSlidingWindow::test_block(Block block) {
   return measures;
 }
 
+// ------------------------------------------------------------- prequential
+
+void PrequentialStrategy::bootstrap(Block first_block) {
+  for (const QueryReplyPair& pair : first_block) train(pair);
+}
+
+bool PrequentialStrategy::host_covered(HostId source) const {
+  const auto it = repliers_of_.find(source);
+  if (it == repliers_of_.end()) return false;
+  return std::any_of(it->second.begin(), it->second.end(),
+                     [&](HostId replier) { return rule_active(source, replier); });
+}
+
+BlockMeasures PrequentialStrategy::test(Block block, ShardedEvaluator*) {
+  // Each pair is tested against the rules as they stood *before* it
+  // arrived, then used to update them.
+  std::unordered_map<trace::Guid, std::uint8_t> state;
+  state.reserve(block.size());
+  BlockMeasures measures;
+  for (const QueryReplyPair& pair : block) {
+    auto [it, fresh] = state.try_emplace(pair.guid, std::uint8_t{0});
+    if (fresh) {
+      ++measures.total_queries;
+      if (host_covered(pair.source_host)) {
+        ++measures.covered;
+        it->second |= 1;
+      }
+    }
+    if ((it->second & 1) && !(it->second & 2) &&
+        rule_active(pair.source_host, pair.replying_neighbor)) {
+      ++measures.successful;
+      it->second |= 2;
+    }
+    train(pair);
+  }
+  return measures;
+}
+
 // -------------------------------------------------------------- incremental
 
 IncrementalRuleset::IncrementalRuleset(std::uint32_t min_support,
                                        double half_life_pairs,
                                        double min_effective_support)
-    : Strategy(min_support), min_effective_(min_effective_support) {
+    : PrequentialStrategy(min_support), min_effective_(min_effective_support) {
   assert(half_life_pairs > 0.0);
   decay_per_pair_ = std::exp2(-1.0 / half_life_pairs);
-}
-
-void IncrementalRuleset::bootstrap(Block first_block) {
-  // No mined rule set — warm the decayed counts with the bootstrap block.
-  for (const QueryReplyPair& pair : first_block) train(pair);
 }
 
 void IncrementalRuleset::train(const QueryReplyPair& pair) {
@@ -120,13 +154,6 @@ bool IncrementalRuleset::rule_active(HostId source, HostId replier) const {
   return it != counts_.end() && it->second >= min_effective_;
 }
 
-bool IncrementalRuleset::host_covered(HostId source) const {
-  const auto it = repliers_of_.find(source);
-  if (it == repliers_of_.end()) return false;
-  return std::any_of(it->second.begin(), it->second.end(),
-                     [&](HostId replier) { return rule_active(source, replier); });
-}
-
 std::size_t IncrementalRuleset::active_rules() const {
   return static_cast<std::size_t>(
       std::count_if(counts_.begin(), counts_.end(), [this](const auto& entry) {
@@ -134,37 +161,12 @@ std::size_t IncrementalRuleset::active_rules() const {
       }));
 }
 
-BlockMeasures IncrementalRuleset::test_block(Block block) {
-  // Prequential evaluation: each pair is tested against the rules as they
-  // stood *before* it arrived, then used to update them.
-  std::unordered_map<trace::Guid, std::uint8_t> state;
-  state.reserve(block.size());
-  BlockMeasures measures;
-  for (const QueryReplyPair& pair : block) {
-    auto [it, fresh] = state.try_emplace(pair.guid, std::uint8_t{0});
-    if (fresh) {
-      ++measures.total_queries;
-      if (host_covered(pair.source_host)) {
-        ++measures.covered;
-        it->second |= 1;
-      }
-    }
-    if ((it->second & 1) && !(it->second & 2) &&
-        rule_active(pair.source_host, pair.replying_neighbor)) {
-      ++measures.successful;
-      it->second |= 2;
-    }
-    train(pair);
-  }
-  return measures;
-}
-
 // --------------------------------------------------------------- streaming
 
 StreamingRuleset::StreamingRuleset(std::uint32_t min_support, double epsilon,
                                    std::uint64_t epoch_pairs,
                                    double min_effective_support)
-    : Strategy(min_support),
+    : PrequentialStrategy(min_support),
       min_effective_(min_effective_support),
       epoch_pairs_(epoch_pairs),
       current_(epsilon),
@@ -172,20 +174,9 @@ StreamingRuleset::StreamingRuleset(std::uint32_t min_support, double epsilon,
   assert(epoch_pairs_ > 0);
 }
 
-void StreamingRuleset::bootstrap(Block first_block) {
-  for (const QueryReplyPair& pair : first_block) train(pair);
-}
-
 std::uint64_t StreamingRuleset::pair_count(HostId source, HostId replier) const {
   const std::uint64_t key = pair_key(source, replier);
   return current_.count(key) + previous_.count(key);
-}
-
-bool StreamingRuleset::host_covered(HostId source) const {
-  const auto it = repliers_of_.find(source);
-  if (it == repliers_of_.end()) return false;
-  return std::any_of(it->second.begin(), it->second.end(),
-                     [&](HostId replier) { return rule_active(source, replier); });
 }
 
 void StreamingRuleset::train(const QueryReplyPair& pair) {
@@ -204,29 +195,6 @@ void StreamingRuleset::train(const QueryReplyPair& pair) {
           static_cast<HostId>(k & 0xffffffffu));
     }
   }
-}
-
-BlockMeasures StreamingRuleset::test_block(Block block) {
-  std::unordered_map<trace::Guid, std::uint8_t> state;
-  state.reserve(block.size());
-  BlockMeasures measures;
-  for (const QueryReplyPair& pair : block) {
-    auto [it, fresh] = state.try_emplace(pair.guid, std::uint8_t{0});
-    if (fresh) {
-      ++measures.total_queries;
-      if (host_covered(pair.source_host)) {
-        ++measures.covered;
-        it->second |= 1;
-      }
-    }
-    if ((it->second & 1) && !(it->second & 2) &&
-        rule_active(pair.source_host, pair.replying_neighbor)) {
-      ++measures.successful;
-      it->second |= 2;
-    }
-    train(pair);
-  }
-  return measures;
 }
 
 }  // namespace aar::core

@@ -2,11 +2,11 @@
 // Rule-set maintenance strategies (paper Sections III-B.3 – III-B.6 plus the
 // Section VI streaming extension).
 //
-// The driver (TraceSimulator) replays the trace in blocks.  Block 0 is the
-// bootstrap block every strategy may mine; each later block is first *tested*
-// against the strategy's current rule set (producing the coverage / success
-// measures) and then offered to the strategy, which decides whether to
-// regenerate.  This matches the paper's RULESET-TEST / GENERATE-RULESET
+// run_trace_simulation replays the trace in blocks.  Block 0 is the
+// bootstrap block every strategy may mine; each later block is first
+// *tested* against the strategy's current rule set (producing the coverage /
+// success measures) and then offered to the strategy, which decides whether
+// to regenerate.  This matches the paper's RULESET-TEST / GENERATE-RULESET
 // pseudocode: Sliding Window regenerates after every block, Lazy every P
 // blocks, Adaptive only when the measured quality drops below its adaptive
 // thresholds.
@@ -15,6 +15,8 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "assoc/stream.hpp"
 #include "core/measures.hpp"
@@ -25,25 +27,7 @@ namespace aar::core {
 
 using Block = std::span<const QueryReplyPair>;
 
-/// Pluggable execution backend for the two block-granular bulk operations a
-/// strategy performs: evaluating a rule set against a test block and
-/// re-counting a block into the miner's window.  The default (no executor
-/// attached) runs both serially; aar::par::ShardExecutor shards the block
-/// across a thread pool and merges in canonical shard order, with the
-/// contract that results — measures, miner state, subsequent RuleSet
-/// snapshots — are bit-identical to the serial path (docs/PARALLEL.md).
-class BlockExecutor {
- public:
-  virtual ~BlockExecutor() = default;
-
-  /// Must return exactly core::evaluate(rules, block).
-  [[nodiscard]] virtual BlockMeasures evaluate(const RuleSet& rules,
-                                               Block block) = 0;
-
-  /// Must leave `miner` exactly as miner.add(block) followed by
-  /// miner.evict_to(block.size()) would (the caller snapshots afterwards).
-  virtual void mine(mining::IncrementalRuleMiner& miner, Block block) = 0;
-};
+class ShardedEvaluator;  // core/sharded_evaluator.hpp
 
 class Strategy {
  public:
@@ -61,7 +45,11 @@ class Strategy {
 
   /// Test the current rule set against `block`, then apply the strategy's
   /// update policy.  Returns the measures of the *test* (before any update).
-  virtual BlockMeasures test_block(Block block) = 0;
+  /// A non-null `sharded` spreads the rule-set evaluation over its worker
+  /// pool; the measures are identical either way.
+  BlockMeasures test_block(Block block, ShardedEvaluator* sharded = nullptr) {
+    return test(block, sharded);
+  }
 
   /// Rule sets mined so far (bootstrap included) — the paper reports
   /// "new rule sets were generated every 1.7 blocks" from this counter.
@@ -75,16 +63,10 @@ class Strategy {
     return miner_.config().min_support;
   }
 
-  /// Route this strategy's bulk block work (evaluate / re-mine) through
-  /// `executor`; nullptr restores the serial path.  The executor must
-  /// outlive its attachment — core::TraceSimulator::run_parallel attaches
-  /// for the duration of one replay and detaches before returning.
-  void attach_executor(BlockExecutor* executor) noexcept {
-    executor_ = executor;
-  }
-  [[nodiscard]] BlockExecutor* executor() const noexcept { return executor_; }
-
  protected:
+  /// test_block's body: one step of the strategy's test-then-update policy.
+  virtual BlockMeasures test(Block block, ShardedEvaluator* sharded) = 0;
+
   /// Refresh the rule set from `block` through the shared incremental miner:
   /// the block's pairs slide into the miner's window (evicting the previous
   /// window's pairs) and a snapshot materializes only the antecedents whose
@@ -92,12 +74,10 @@ class Strategy {
   /// Timed under obs "core.ruleset_build".
   void regenerate(Block block);
 
-  /// Evaluate the current rule set against `block` — through the attached
-  /// executor when present, serially otherwise.  Byte-identical either way.
-  [[nodiscard]] BlockMeasures measure(Block block) {
-    return executor_ != nullptr ? executor_->evaluate(current(), block)
-                                : evaluate(current(), block);
-  }
+  /// Evaluate the current rule set against `block` — on `sharded`'s pool
+  /// when given, inline otherwise.  Byte-identical either way.
+  [[nodiscard]] BlockMeasures measure(Block block,
+                                      ShardedEvaluator* sharded) const;
 
   /// The rule set from the most recent regenerate() (empty before the first).
   [[nodiscard]] const RuleSet& current() const noexcept {
@@ -106,7 +86,6 @@ class Strategy {
 
  private:
   mining::IncrementalRuleMiner miner_;
-  BlockExecutor* executor_ = nullptr;
   std::uint64_t rulesets_generated_ = 0;
 };
 
@@ -115,7 +94,11 @@ class StaticRuleset final : public Strategy {
  public:
   using Strategy::Strategy;
   [[nodiscard]] std::string name() const override { return "static"; }
-  BlockMeasures test_block(Block block) override { return measure(block); }
+
+ private:
+  BlockMeasures test(Block block, ShardedEvaluator* sharded) override {
+    return measure(block, sharded);
+  }
 };
 
 /// SLIDING-WINDOW (III-B.4): every block b is tested against the rule set
@@ -124,8 +107,10 @@ class SlidingWindow final : public Strategy {
  public:
   using Strategy::Strategy;
   [[nodiscard]] std::string name() const override { return "sliding"; }
-  BlockMeasures test_block(Block block) override {
-    const BlockMeasures measures = measure(block);
+
+ private:
+  BlockMeasures test(Block block, ShardedEvaluator* sharded) override {
+    const BlockMeasures measures = measure(block, sharded);
     regenerate(block);  // becomes the rule set for block b+1
     return measures;
   }
@@ -140,17 +125,18 @@ class LazySlidingWindow final : public Strategy {
   [[nodiscard]] std::string name() const override {
     return "lazy(" + std::to_string(period_) + ")";
   }
-  BlockMeasures test_block(Block block) override {
-    const BlockMeasures measures = measure(block);
+  [[nodiscard]] std::uint32_t period() const noexcept { return period_; }
+
+ private:
+  BlockMeasures test(Block block, ShardedEvaluator* sharded) override {
+    const BlockMeasures measures = measure(block, sharded);
     if (++used_ >= period_) {
       regenerate(block);
       used_ = 0;
     }
     return measures;
   }
-  [[nodiscard]] std::uint32_t period() const noexcept { return period_; }
 
- private:
   std::uint32_t period_;
   std::uint32_t used_ = 0;
 };
@@ -175,13 +161,13 @@ class AdaptiveSlidingWindow final : public Strategy {
   [[nodiscard]] std::string name() const override {
     return "adaptive(N=" + std::to_string(history_) + ")";
   }
-  BlockMeasures test_block(Block block) override;
 
   /// Thresholds that would be applied to the next block (tests/inspection).
   [[nodiscard]] double coverage_threshold() const;
   [[nodiscard]] double success_threshold() const;
 
  private:
+  BlockMeasures test(Block block, ShardedEvaluator* sharded) override;
   [[nodiscard]] static double threshold_of(const std::vector<double>& window,
                                            double initial);
 
@@ -192,11 +178,35 @@ class AdaptiveSlidingWindow final : public Strategy {
   std::vector<double> success_history_;
 };
 
-/// Streaming extension (Section VI): counts are updated per pair with
-/// exponential decay, so the rule set is always current.  Evaluation is
-/// prequential (test-then-train on each pair).  The paper reports α, ρ
-/// consistently above 0.90 for this approach.
-class IncrementalRuleset final : public Strategy {
+/// Shared shape of the Section VI streaming strategies: no mined rule set —
+/// counts are updated per pair, so the rules are always current, and
+/// evaluation is prequential (each pair is tested against the rules as they
+/// stood before it arrived, then trains them).
+class PrequentialStrategy : public Strategy {
+ public:
+  using Strategy::Strategy;
+  /// Warm the counts with the bootstrap block.
+  void bootstrap(Block first_block) override;
+
+ protected:
+  /// Count one pair into the strategy's tables.
+  virtual void train(const QueryReplyPair& pair) = 0;
+  [[nodiscard]] virtual bool rule_active(HostId source,
+                                         HostId replier) const = 0;
+
+  // Per-source index of the repliers seen for that source (kept small by
+  // each strategy's sweep) so the coverage test never scans the whole pair
+  // table.
+  std::unordered_map<HostId, std::vector<HostId>> repliers_of_;
+
+ private:
+  BlockMeasures test(Block block, ShardedEvaluator* sharded) final;
+  [[nodiscard]] bool host_covered(HostId source) const;
+};
+
+/// Streaming extension (Section VI) with exponential decay.  The paper
+/// reports α, ρ consistently above 0.90 for this approach.
+class IncrementalRuleset final : public PrequentialStrategy {
  public:
   /// `half_life_pairs`: decayed count halves every this many pairs.
   /// `min_effective_support`: decayed count needed for a rule to be active.
@@ -204,26 +214,20 @@ class IncrementalRuleset final : public Strategy {
                      double min_effective_support = 2.5);
 
   [[nodiscard]] std::string name() const override { return "incremental"; }
-  void bootstrap(Block first_block) override;
-  BlockMeasures test_block(Block block) override;
 
   [[nodiscard]] std::size_t active_rules() const;
 
  private:
-  void train(const QueryReplyPair& pair);
-  [[nodiscard]] bool rule_active(HostId source, HostId replier) const;
-  [[nodiscard]] bool host_covered(HostId source) const;
+  void train(const QueryReplyPair& pair) override;
+  [[nodiscard]] bool rule_active(HostId source, HostId replier) const override;
   void decay_all();
 
   double decay_per_pair_;
   double min_effective_;
   std::uint64_t pairs_seen_ = 0;
   std::uint64_t pairs_at_last_decay_ = 0;
-  // (source<<32 | replier) -> decayed count, plus a per-source index of the
-  // repliers seen for that source (kept small by the decay sweep) so the
-  // coverage test never scans the whole pair table.
+  // (source<<32 | replier) -> decayed count.
   std::unordered_map<std::uint64_t, double> counts_;
-  std::unordered_map<HostId, std::vector<HostId>> repliers_of_;
 };
 
 /// Streaming variant built on Lossy Counting (Manku & Motwani) instead of
@@ -231,16 +235,13 @@ class IncrementalRuleset final : public Strategy {
 /// pointer to data-stream mining [18].  Two counters rotate every
 /// `epoch_pairs` items; a rule is active when its combined estimated count
 /// over the current and previous epoch reaches `min_effective_support`.
-/// Prequential evaluation, like IncrementalRuleset.
-class StreamingRuleset final : public Strategy {
+class StreamingRuleset final : public PrequentialStrategy {
  public:
   StreamingRuleset(std::uint32_t min_support, double epsilon = 1e-3,
                    std::uint64_t epoch_pairs = 10'000,
                    double min_effective_support = 3.0);
 
   [[nodiscard]] std::string name() const override { return "streaming"; }
-  void bootstrap(Block first_block) override;
-  BlockMeasures test_block(Block block) override;
 
   /// Entries currently held across both counters (memory footprint probe).
   [[nodiscard]] std::size_t table_size() const {
@@ -248,21 +249,18 @@ class StreamingRuleset final : public Strategy {
   }
 
  private:
-  void train(const QueryReplyPair& pair);
+  void train(const QueryReplyPair& pair) override;
   [[nodiscard]] std::uint64_t pair_count(HostId source, HostId replier) const;
-  [[nodiscard]] bool rule_active(HostId source, HostId replier) const {
+  [[nodiscard]] bool rule_active(HostId source, HostId replier) const override {
     return pair_count(source, replier) >=
            static_cast<std::uint64_t>(min_effective_);
   }
-  [[nodiscard]] bool host_covered(HostId source) const;
 
   double min_effective_;
   std::uint64_t epoch_pairs_;
   std::uint64_t pairs_in_epoch_ = 0;
   assoc::LossyCounter current_;
   assoc::LossyCounter previous_;
-  // Per-source replier index, rebuilt from the counters at epoch rotation.
-  std::unordered_map<HostId, std::vector<HostId>> repliers_of_;
 };
 
 }  // namespace aar::core

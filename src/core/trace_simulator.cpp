@@ -1,9 +1,11 @@
 #include "core/trace_simulator.hpp"
 
 #include <chrono>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/sharded_evaluator.hpp"
 #include "obs/registry.hpp"
 
 namespace aar::core {
@@ -21,7 +23,8 @@ std::string SimulationResult::to_string() const {
 
 SimulationResult run_trace_simulation(Strategy& strategy,
                                       std::span<const trace::QueryReplyPair> pairs,
-                                      std::size_t block_size) {
+                                      std::size_t block_size,
+                                      std::size_t threads) {
   // These used to be assert-only, so a Release build fed a short or empty
   // trace bootstrapped on an empty span and returned a zero-block result
   // without complaint.  Fail loudly in every build type instead.
@@ -37,12 +40,13 @@ SimulationResult run_trace_simulation(Strategy& strategy,
         " (need a bootstrap block plus at least one test block)");
   }
   trace::SpanBlockSource source(pairs);
-  return run_trace_simulation(strategy, source, block_size);
+  return run_trace_simulation(strategy, source, block_size, threads);
 }
 
 SimulationResult run_trace_simulation(Strategy& strategy,
                                       trace::BlockSource& source,
-                                      std::size_t block_size) {
+                                      std::size_t block_size,
+                                      std::size_t threads) {
   if (block_size == 0) {
     throw std::invalid_argument(
         "run_trace_simulation: block_size must be positive");
@@ -79,13 +83,18 @@ SimulationResult run_trace_simulation(Strategy& strategy,
   ruleset_size.set(
       static_cast<double>(strategy.current_ruleset().num_rules()));
 
+  // Only test-block evaluation fans out; at one thread there is no pool.
+  std::optional<ShardedEvaluator> pool;
+  if (threads != 1) pool.emplace(threads);
+  ShardedEvaluator* const sharded = pool ? &*pool : nullptr;
+
   while (true) {
     const std::span<const trace::QueryReplyPair> block =
         source.next_block(block_size);
     if (block.empty()) break;
     const std::uint64_t regens_before = strategy.rulesets_generated();
     const auto start = std::chrono::steady_clock::now();
-    const BlockMeasures measures = strategy.test_block(block);
+    const BlockMeasures measures = strategy.test_block(block, sharded);
     const auto elapsed = std::chrono::steady_clock::now() - start;
     eval_timer.record_ns(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));

@@ -48,13 +48,17 @@ struct SimulationResult {
 };
 
 /// Replay `pairs` through `strategy` in blocks of `block_size`.
-/// Block 0 bootstraps; blocks 1..B-1 are tested.  Throws
+/// Block 0 bootstraps; blocks 1..B-1 are tested.  `threads` == 1 runs
+/// everything inline; any other value (0 = hardware_concurrency) evaluates
+/// each test block sharded by query GUID on a worker pool, with results,
+/// rule sets and timer-free metrics byte-identical to the inline run
+/// (docs/PARALLEL.md).  Mining is serial either way.  Throws
 /// std::invalid_argument for a zero block size and std::runtime_error when
 /// the trace holds fewer than two whole blocks — in every build type, not
 /// just under assertions.
 [[nodiscard]] SimulationResult run_trace_simulation(
     Strategy& strategy, std::span<const trace::QueryReplyPair> pairs,
-    std::size_t block_size);
+    std::size_t block_size, std::size_t threads = 1);
 
 /// Out-of-core variant: pull blocks from `source` until it is exhausted.
 /// Only the current block need be resident, so arbitrarily long traces
@@ -65,61 +69,7 @@ struct SimulationResult {
 /// produces for the same pair stream.
 [[nodiscard]] SimulationResult run_trace_simulation(Strategy& strategy,
                                                     trace::BlockSource& source,
-                                                    std::size_t block_size);
-
-/// Knobs for run_parallel (docs/PARALLEL.md).  Every value is
-/// output-neutral: the replay's SimulationResult, RuleSet snapshots, and
-/// deterministic metrics are identical for any thread count, shard count,
-/// or queue depth — only wall-clock time changes.
-struct ParallelConfig {
-  /// Worker threads for block evaluation / mining; 0 = hardware_concurrency.
-  std::size_t threads = 0;
-  /// Fixed shard count pairs are partitioned into (by query GUID); 0 picks
-  /// the default (16).  Kept independent of `threads` so the par.* shard
-  /// metrics do not vary with the worker count.
-  std::size_t shards = 0;
-  /// Blocks the decode stage may buffer ahead of evaluation (>= 1).
-  std::size_t queue_depth = 2;
-};
-
-/// Object façade over the block-replay loop: one strategy, one block size,
-/// serial or parallel execution.  `run` is exactly run_trace_simulation;
-/// `run_parallel` shards each block across a worker pool and overlaps
-/// store-side decode with mining/eval behind a bounded stage queue, with a
-/// bit-determinism contract against the serial path (docs/PARALLEL.md).
-///
-/// run_parallel is defined in the aar::par layer (src/par/replay.cpp);
-/// link aar_par to use it.  The serial members live in aar_core, keeping
-/// core free of any dependency on the parallel engine.
-class TraceSimulator {
- public:
-  TraceSimulator(Strategy& strategy, std::size_t block_size)
-      : strategy_(strategy), block_size_(block_size) {}
-
-  [[nodiscard]] SimulationResult run(
-      std::span<const trace::QueryReplyPair> pairs) {
-    return run_trace_simulation(strategy_, pairs, block_size_);
-  }
-  [[nodiscard]] SimulationResult run(trace::BlockSource& source) {
-    return run_trace_simulation(strategy_, source, block_size_);
-  }
-
-  /// Deterministic parallel replay: same-input runs produce identical
-  /// SimulationResult encodings, RuleSet snapshots, and timer-free metrics
-  /// for every thread count, including the serial path.  Same argument
-  /// validation (and exceptions) as run().
-  [[nodiscard]] SimulationResult run_parallel(
-      std::span<const trace::QueryReplyPair> pairs,
-      const ParallelConfig& config = {});
-  [[nodiscard]] SimulationResult run_parallel(
-      trace::BlockSource& source, const ParallelConfig& config = {});
-
-  [[nodiscard]] Strategy& strategy() const noexcept { return strategy_; }
-  [[nodiscard]] std::size_t block_size() const noexcept { return block_size_; }
-
- private:
-  Strategy& strategy_;
-  std::size_t block_size_;
-};
+                                                    std::size_t block_size,
+                                                    std::size_t threads = 1);
 
 }  // namespace aar::core

@@ -7,6 +7,8 @@
 #include <map>
 #include <queue>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "lsm/fault.hpp"
 #include "obs/registry.hpp"
@@ -46,6 +48,12 @@ Metrics& metrics() {
 
 Store::Store(std::string dir, StoreOptions options)
     : dir_(std::move(dir)), options_(options) {
+  // A fanout of 0 or 1 makes every compaction output due again at the next
+  // level, so add()'s compaction fixpoint would never be reached.
+  if (options_.level_fanout < 2) {
+    throw std::invalid_argument("lsm::Store: level_fanout must be >= 2, got " +
+                                std::to_string(options_.level_fanout));
+  }
   (void)metrics();
   recover();
 }

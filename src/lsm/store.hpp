@@ -46,13 +46,14 @@ namespace aar::lsm {
 struct StoreOptions {
   std::size_t memtable_bytes = 4u << 20;  ///< flush trigger
   std::size_t block_bytes = 4096;
-  std::uint32_t level_fanout = 4;  ///< runs per level before compaction
+  std::uint32_t level_fanout = 4;  ///< runs per level before compaction (>= 2)
 };
 
 class Store {
  public:
   /// Opens (and if necessary recovers) the store in `dir`, creating the
-  /// directory when missing.
+  /// directory when missing.  Throws std::invalid_argument when
+  /// options.level_fanout < 2.
   explicit Store(std::string dir, StoreOptions options = {});
 
   Store(const Store&) = delete;

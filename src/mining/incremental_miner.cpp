@@ -110,39 +110,6 @@ std::size_t IncrementalRuleMiner::purge_host(HostId host) {
   return touched;
 }
 
-void IncrementalRuleMiner::replace_window(
-    std::span<const QueryReplyPair> block,
-    std::span<ShardCounts* const> shards) {
-  // Serial add(block) + evict_to(block.size()) marks dirty every antecedent
-  // of the incoming block and every antecedent of the outgoing window; the
-  // outgoing window's antecedents are exactly the current counts_ domain.
-  // An antecedent present in both may be queued twice here (the old entry is
-  // dropped with counts_.clear() below, losing its dirty flag) — rebuild is
-  // idempotent, so duplicates only cost a redundant rebuild.
-  counts_.for_each([this](HostId antecedent, AntecedentCounts& state) {
-    mark_dirty(antecedent, state);
-  });
-  evictions_ += window_.size();  // the old window retires wholesale
-  counts_.clear();
-  window_.clear();
-  for (const QueryReplyPair& pair : block) window_.push_back(pair);
-
-  // Merge in the given order.  Counts are pure sums, so the merged table
-  // equals a serial count of `block` regardless of shard count or order —
-  // the canonical order only pins down internal hash-table layout.
-  for (ShardCounts* shard : shards) {
-    shard->counts_.for_each([&](HostId antecedent,
-                                const AntecedentCounts& from) {
-      AntecedentCounts& state = counts_.find_or_insert(antecedent);
-      state.total += from.total;
-      from.consequents.for_each([&](HostId neighbor, std::uint32_t support) {
-        state.consequents.find_or_insert(neighbor) += support;
-      });
-      mark_dirty(antecedent, state);
-    });
-  }
-}
-
 void IncrementalRuleMiner::clear() {
   // Every antecedent that had rules must vanish from the next snapshot.
   counts_.for_each([this](HostId antecedent, AntecedentCounts& state) {

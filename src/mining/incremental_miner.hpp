@@ -93,34 +93,6 @@ struct AntecedentCounts {
   bool dirty = false;  ///< already queued in dirty_ for the next snapshot
 };
 
-/// One shard's worth of pair counts for the parallel replay engine
-/// (aar::par): the same (antecedent -> consequent -> support, total) state
-/// the miner keeps, accumulated independently per shard on its own thread
-/// and merged into a miner in canonical shard-index order by
-/// IncrementalRuleMiner::replace_window.  Counting is pure addition, so the
-/// merged table equals the serial count of the whole block under ANY
-/// partition of its pairs.
-class ShardCounts {
- public:
-  /// Count one pair (two FlatCountMap ops, no window bookkeeping).
-  void count(const QueryReplyPair& pair) {
-    AntecedentCounts& state = counts_.find_or_insert(pair.source_host);
-    ++state.consequents.find_or_insert(pair.replying_neighbor);
-    ++state.total;
-  }
-  void count(std::span<const QueryReplyPair> pairs) {
-    for (const QueryReplyPair& pair : pairs) count(pair);
-  }
-  void clear() noexcept { counts_.clear(); }
-  [[nodiscard]] std::size_t distinct_antecedents() const noexcept {
-    return counts_.size();
-  }
-
- private:
-  friend class IncrementalRuleMiner;
-  FlatCountMap<AntecedentCounts> counts_;
-};
-
 class IncrementalRuleMiner {
  public:
   explicit IncrementalRuleMiner(MinerConfig config = {});
@@ -143,16 +115,6 @@ class IncrementalRuleMiner {
   /// many pairs were purged.  Take a snapshot() afterwards to drop the
   /// host's rules from the routed-against set.
   std::size_t purge_host(HostId host);
-
-  /// Replace the whole window with `block`, whose counts were accumulated
-  /// out-of-band into `shards` (merged here in the order given — canonical
-  /// shard-index order under aar::par).  Equivalent to add(block) followed
-  /// by evict_to(block.size()): the post-call counts, dirty set, and
-  /// eviction total are identical, so the next snapshot() — and every
-  /// metric it syncs — is byte-identical to the serial path.  The caller
-  /// must ensure the shards together count exactly the pairs of `block`.
-  void replace_window(std::span<const QueryReplyPair> block,
-                      std::span<ShardCounts* const> shards);
 
   /// Materialize every antecedent whose counts changed since the last
   /// snapshot into the internal rule set and return it.  Equivalent to

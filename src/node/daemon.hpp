@@ -12,9 +12,9 @@
 // connections end to end: epoll set, FrameDecoder, outbound buffering, and
 // the send-stall RetryLadder.  Cross-connection state — the GUID
 // route/join table, the live-peer roster, and the mining window — lives in
-// SharedState (src/node/snapshot.hpp) behind the aar::par shape: shards
-// append observed pairs to private windows, a canonical-order merge
-// publishes an immutable routing snapshot, and relay reads it lock-free.
+// SharedState (src/node/snapshot.hpp): shards append observed pairs to
+// private windows, a canonical-order merge publishes an immutable routing
+// snapshot, and relay reads it lock-free.
 //
 // With --threads 1 the daemon is byte-for-byte the old single-threaded
 // node on paced input: same relay decisions, same admin stats, same mined

@@ -1,9 +1,9 @@
 #pragma once
 // Shared state for the sharded aar_node daemon (docs/NODE.md): everything
-// the per-shard socket loops must agree on lives here, behind the same
-// determinism discipline aar::par established — shards accumulate privately
-// and a canonical-order merge publishes immutable snapshots that the hot
-// loops read lock-free.
+// the per-shard socket loops must agree on lives here, behind one
+// determinism discipline — shards accumulate privately and a
+// canonical-order merge publishes immutable snapshots that the hot loops
+// read lock-free.
 //
 //   * QueryTable — the GUID join/route table (query GUID -> origin
 //     connection, query key, rule-routed flag), striped by GUID hash so
@@ -18,7 +18,7 @@
 //     plus a binary search.  Per-peer `stalled` flags are atomics written
 //     by the owning shard's retry ladder and read by every shard's
 //     rule-target filter.
-//   * MiningHub — the miner behind the aar::par shape.  Shards append
+//   * MiningHub — the miner behind that discipline.  Shards append
 //     observed pairs to their own ShardWindow, a pending buffer of the
 //     pairs not yet handed over; the caller crossing each `rebuild_every`
 //     boundary performs the merge: swap every shard's pending buffer out
@@ -87,7 +87,7 @@ class QueryTable {
 
   /// The stripe owning `guid`; callers lock `stripe.mu` around map access.
   [[nodiscard]] Stripe& stripe(std::uint64_t guid) noexcept {
-    // SplitMix64 finalizer — the same GUID spreader aar::par shards by.
+    // SplitMix64 finalizer — the same GUID spreader core::shard_of uses.
     std::uint64_t z = guid + 0x9e3779b97f4a7c15ULL;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -283,6 +284,26 @@ TEST(LsmBloom, SerializationRoundTripsAndRejectsCorruption) {
   EXPECT_THROW(
       Bloom::deserialize(std::string_view(bytes).substr(0, bytes.size() / 2)),
       CorruptBlock);
+}
+
+// --- options ---------------------------------------------------------------
+
+TEST(LsmStoreOptions, FanoutBelowTwoIsRejectedAtConstruction) {
+  // With a fanout of 0 or 1 every compaction output is due again at the
+  // next level, so the first flushing add() would compact forever; the
+  // constructor refuses such options before any write can reach that loop.
+  ScopedTempDir tmp("aar_lsm_fanout");
+  for (const std::uint32_t fanout : {0u, 1u}) {
+    StoreOptions options;
+    options.level_fanout = fanout;
+    EXPECT_THROW(Store(tmp.path("db"), options), std::invalid_argument)
+        << "fanout " << fanout;
+  }
+  StoreOptions options;
+  options.level_fanout = 2;
+  Store store(tmp.path("db"), options);
+  store.add(1, 2, 3);
+  EXPECT_EQ(store.get_count(1, 2), 3);
 }
 
 // --- concurrent writers (the TSan target) --------------------------------

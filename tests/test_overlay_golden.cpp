@@ -21,9 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -38,16 +35,13 @@
 #include "overlay/routing_indices.hpp"
 #include "overlay/shortcuts.hpp"
 #include "overlay/topology.hpp"
+#include "test_golden.hpp"
 
 namespace aar::overlay {
 namespace {
 
-std::string hex(std::uint64_t value) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
+using testing::hex;
+using testing::nonzero_metrics;
 
 std::string exact(double value) {
   char buf[32];
@@ -55,105 +49,14 @@ std::string exact(double value) {
   return buf;
 }
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  return overlay::fnv1a(std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+std::string metrics_hash() {
+  return hex(testing::fnv1a(nonzero_metrics()));
 }
 
-/// Every top-level entry of the section objects in an aar.metrics.v1
-/// snapshot that holds a nonzero value.  Registry::reset() zeroes metrics
-/// but never unregisters them, so dropping all-zero entries makes the
-/// snapshot independent of what other tests registered earlier in the same
-/// process.  Histogram shape fields (lo/hi/bins) do not count as values.
-std::string nonzero_metrics() {
-  std::ostringstream json;
-  obs::Registry::global().write_json(json, {}, /*include_timers=*/false);
-  const std::string s = json.str();
-  std::string kept;
-  int depth = 0;
-  bool in_string = false;
-  std::size_t entry_start = 0;
-  const auto flush = [&](std::size_t end) {
-    const std::string entry = s.substr(entry_start, end - entry_start);
-    const std::size_t colon = entry.find("\":");
-    if (colon == std::string::npos) return;
-    std::string value = entry.substr(colon + 2);
-    for (const char* shape : {"\"lo\":", "\"hi\":", "\"bins\":"}) {
-      const std::size_t at = value.find(shape);
-      if (at == std::string::npos) continue;
-      const std::size_t stop = value.find_first_of(",}", at);
-      value.erase(at, stop - at);
-    }
-    if (value.find_first_of("123456789") != std::string::npos) {
-      kept += entry;
-      kept += '\n';
-    }
-  };
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (in_string) {
-      if (c == '\\') ++i;
-      else if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      if (++depth == 2) entry_start = i + 1;
-    } else if (c == '}' || c == ']') {
-      if (depth-- == 2) flush(i);
-    } else if (c == ',' && depth == 2) {
-      flush(i);
-      entry_start = i + 1;
-    }
-  }
-  return kept;
-}
-
-std::string metrics_hash() { return hex(fnv1a(nonzero_metrics())); }
-
-/// Collects `name value` entries, then either checks them against the
-/// golden file or (AAR_OVERLAY_GOLDEN_OUT set) appends them to it.
-class Entries {
- public:
-  void add(const std::string& name, const std::string& value) {
-    entries_.emplace_back(name, value);
-  }
-  void add(const std::string& name, std::uint64_t value) {
-    add(name, std::to_string(value));
-  }
-
-  void check() const {
-    if (const char* out = std::getenv("AAR_OVERLAY_GOLDEN_OUT")) {
-      std::ofstream file(out, std::ios::app);
-      for (const auto& [name, value] : entries_) {
-        file << name << ' ' << value << '\n';
-      }
-      return;
-    }
-    const std::map<std::string, std::string> golden = load();
-    ASSERT_FALSE(golden.empty());
-    for (const auto& [name, value] : entries_) {
-      const auto it = golden.find(name);
-      ASSERT_NE(it, golden.end()) << "missing golden entry " << name;
-      EXPECT_EQ(value, it->second) << name;
-    }
-  }
-
- private:
-  static std::map<std::string, std::string> load() {
-    std::map<std::string, std::string> golden;
-    std::ifstream file(std::string(AAR_TEST_DATA_DIR) + "/golden_overlay.v1");
-    std::string line;
-    while (std::getline(file, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      const std::size_t space = line.find(' ');
-      if (space == std::string::npos) continue;
-      golden[line.substr(0, space)] = line.substr(space + 1);
-    }
-    return golden;
-  }
-
-  std::vector<std::pair<std::string, std::string>> entries_;
+/// Checks against (or, with AAR_OVERLAY_GOLDEN_OUT set, appends to)
+/// tests/data/golden_overlay.v1.
+struct Entries : testing::GoldenEntries {
+  Entries() : GoldenEntries("golden_overlay.v1", "AAR_OVERLAY_GOLDEN_OUT") {}
 };
 
 void add_run(Entries& entries, const std::string& prefix,
@@ -265,7 +168,7 @@ void add_rules(Entries& entries, NetworkConfig config) {
         .rules()
         .save(all);
   }
-  entries.add("rules.association.hash", hex(fnv1a(all.str())));
+  entries.add("rules.association.hash", hex(testing::fnv1a(all.str())));
   entries.add("rules.association.bytes", all.str().size());
 }
 

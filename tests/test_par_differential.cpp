@@ -1,37 +1,46 @@
-// Differential determinism suite for core::TraceSimulator::run_parallel
-// (docs/PARALLEL.md): for every strategy with a block-mined rule set
-// (static / sliding / lazy / adaptive), every thread count in {1, 2, 3, 8},
-// and both trace sources (in-memory CSV load and streamed .aartr), the
-// parallel replay must reproduce the serial replay exactly —
+// Frozen block-replay goldens (tests/data/golden_replay.v1) and the
+// thread-count determinism suite for core::run_trace_simulation
+// (docs/PARALLEL.md).
+//
+// The golden was written once by the serial replay loop, before threaded
+// evaluation existed in its current form.  For every strategy (static /
+// sliding / lazy / adaptive / incremental / streaming), both trace sources
+// (in-memory CSV load and streamed .aartr) and every thread count in
+// {1, 2, 3, 8}, a replay must reproduce
 //
 //   * the SimulationResult (strategy, block size, min support, generation
-//     and block counters, and the full per-block α/ρ series, compared
-//     bit-for-bit as doubles),
-//   * the final RuleSet snapshot, compared as serialized bytes,
-//   * the aar.metrics.v1 snapshot minus timers (wall-clock is excluded by
-//     contract; the store.prefetch_hits/waits split is timing-dependent and
-//     scrubbed, and par.*-only keys are scrubbed when comparing against a
-//     serial run that never touches them).
+//     and block counters, and the full per-block α/ρ series at round-trip
+//     precision; the wall-clock eval_seconds series is excluded),
+//   * the final RuleSet::save bytes (FNV-1a hash and length),
+//   * the nonzero timer-free aar.metrics.v1 entries, minus the
+//     store.prefetch_hits/waits split (their SUM is deterministic, the split
+//     depends on thread scheduling).
+//
+// Regenerate (only when a change is meant to move the bytes): running
+//   build/tests/aar_tests --gtest_filter='ParDifferentialTest.ParallelMatchesSerial*'
+// with AAR_REPLAY_GOLDEN_OUT=<file> set appends every entry to <file>
+// instead of comparing.
 
 #include "core/trace_simulator.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <memory>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/strategy.hpp"
-#include "obs/registry.hpp"
-#include "par/executor.hpp"
 #include "store/block_source.hpp"
 #include "store/reader.hpp"
 #include "store/writer.hpp"
+#include "test_golden.hpp"
 #include "trace/database.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
@@ -63,12 +72,18 @@ std::unique_ptr<Strategy> make_strategy(const std::string& name) {
   if (name == "lazy") {
     return std::make_unique<LazySlidingWindow>(kMinSupport, 3);
   }
-  return std::make_unique<AdaptiveSlidingWindow>(kMinSupport, 5);
+  if (name == "adaptive") {
+    return std::make_unique<AdaptiveSlidingWindow>(kMinSupport, 5);
+  }
+  if (name == "incremental") {
+    return std::make_unique<IncrementalRuleset>(kMinSupport);
+  }
+  return std::make_unique<StreamingRuleset>(kMinSupport);
 }
 
 const std::vector<std::string>& strategy_names() {
-  static const std::vector<std::string> names{"static", "sliding", "lazy",
-                                              "adaptive"};
+  static const std::vector<std::string> names{
+      "static", "sliding", "lazy", "adaptive", "incremental", "streaming"};
   return names;
 }
 
@@ -87,33 +102,19 @@ std::string encode(const SimulationResult& result) {
   return os.str();
 }
 
-/// Timer-free aar.metrics.v1 snapshot of the global registry.
-std::string metrics_json() {
-  std::ostringstream os;
-  obs::Registry::global().write_json(os, {}, /*include_timers=*/false);
-  return os.str();
-}
-
-/// Drop the timing-racy prefetch-hit/wait split (the SUM is deterministic,
-/// the split depends on thread scheduling) and, for serial-vs-parallel
-/// comparisons, every par.* metric (a serial run never touches them, so a
-/// prior parallel run in the same process leaves them behind at different
-/// values).  Metric values are flat integers or one-level objects, so a
-/// non-greedy scrub is exact against the single-line v1 layout.
-std::string scrub(std::string json, bool drop_par) {
-  static const std::regex prefetch(
-      R"re("store\.prefetch_(hits|waits)":\d+,?)re");
-  json = std::regex_replace(json, prefetch, "");
-  if (drop_par) {
-    static const std::regex par(
-        R"re("par\.[a-z_.]+":(\{[^{}]*\}|\d+),?)re");
-    json = std::regex_replace(json, par, "");
-  }
-  static const std::regex dangling(R"re(,\})re");
-  return std::regex_replace(json, dangling, "}");
+/// Nonzero timer-free metrics, one entry per line, without the
+/// timing-racy prefetch hit/wait split.
+std::string scrubbed_metrics() {
+  static const std::regex racy(
+      R"re("store\.prefetch_(hits|waits)":\d+\n)re");
+  return std::regex_replace(testing::nonzero_metrics(), racy, "");
 }
 
 enum class SourceKind { memory, aartr };
+
+const char* source_name(SourceKind kind) {
+  return kind == SourceKind::memory ? "memory" : "aartr";
+}
 
 struct RunOutput {
   std::string result_bytes;
@@ -121,27 +122,20 @@ struct RunOutput {
   std::string metrics;
 };
 
-/// One replay from a cold strategy and a reset registry.  threads < 0 means
-/// the serial path; otherwise run_parallel with that thread count.
+/// One replay from a cold strategy and a reset registry.
 RunOutput run_once(const std::string& strategy_name,
                    const std::vector<trace::QueryReplyPair>& pairs,
                    const std::string& aartr_path, SourceKind kind,
-                   int threads) {
+                   std::size_t threads) {
   obs::Registry::global().reset();
   std::unique_ptr<Strategy> strategy = make_strategy(strategy_name);
-  TraceSimulator simulator(*strategy, kBlockSize);
-  ParallelConfig config;
-  config.threads = threads <= 0 ? 1 : static_cast<std::size_t>(threads);
-
   SimulationResult result;
   if (kind == SourceKind::memory) {
-    result = threads < 0 ? simulator.run(pairs)
-                         : simulator.run_parallel(pairs, config);
+    result = run_trace_simulation(*strategy, pairs, kBlockSize, threads);
   } else {
     const store::Reader reader(aartr_path);
     store::StoreBlockSource source(reader);
-    result = threads < 0 ? simulator.run(source)
-                         : simulator.run_parallel(source, config);
+    result = run_trace_simulation(*strategy, source, kBlockSize, threads);
   }
 
   RunOutput out;
@@ -149,7 +143,7 @@ RunOutput run_once(const std::string& strategy_name,
   std::ostringstream ruleset;
   strategy->current_ruleset().save(ruleset);
   out.ruleset_bytes = ruleset.str();
-  out.metrics = metrics_json();
+  out.metrics = scrubbed_metrics();
   return out;
 }
 
@@ -184,6 +178,25 @@ class ParDifferentialTest : public ::testing::Test {
   static const std::vector<trace::QueryReplyPair>& pairs() { return *pairs_; }
   static const std::string& aartr_path() { return *aartr_path_; }
 
+  /// Every strategy over `kind` at `threads`, checked against the golden.
+  static void check_golden(SourceKind kind, std::size_t threads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    testing::GoldenEntries entries("golden_replay.v1", "AAR_REPLAY_GOLDEN_OUT");
+    for (const std::string& name : strategy_names()) {
+      const RunOutput out = run_once(name, pairs(), aartr_path(), kind, threads);
+      const std::string prefix = name + '.' + source_name(kind);
+      entries.add(prefix + ".result", out.result_bytes);
+      entries.add(prefix + ".ruleset",
+                  testing::hex(testing::fnv1a(out.ruleset_bytes)) + ' ' +
+                      std::to_string(out.ruleset_bytes.size()));
+      std::string metrics = out.metrics;
+      if (!metrics.empty()) metrics.pop_back();  // one line, space-separated
+      std::replace(metrics.begin(), metrics.end(), '\n', ' ');
+      entries.add(prefix + ".metrics", metrics);
+    }
+    entries.check();
+  }
+
  private:
   static std::vector<trace::QueryReplyPair>* pairs_;
   static std::string* aartr_path_;
@@ -193,70 +206,47 @@ std::vector<trace::QueryReplyPair>* ParDifferentialTest::pairs_ = nullptr;
 std::string* ParDifferentialTest::aartr_path_ = nullptr;
 
 TEST_F(ParDifferentialTest, ParallelMatchesSerialInMemory) {
-  for (const std::string& name : strategy_names()) {
-    const RunOutput serial =
-        run_once(name, pairs(), aartr_path(), SourceKind::memory, -1);
-    for (const int threads : {1, 2, 3, 8}) {
-      const RunOutput parallel =
-          run_once(name, pairs(), aartr_path(), SourceKind::memory, threads);
-      EXPECT_EQ(parallel.result_bytes, serial.result_bytes)
-          << name << " threads=" << threads;
-      EXPECT_EQ(parallel.ruleset_bytes, serial.ruleset_bytes)
-          << name << " threads=" << threads;
-      EXPECT_EQ(scrub(parallel.metrics, /*drop_par=*/true),
-                scrub(serial.metrics, /*drop_par=*/true))
-          << name << " threads=" << threads;
-    }
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+    check_golden(SourceKind::memory, threads);
   }
 }
 
 TEST_F(ParDifferentialTest, ParallelMatchesSerialStreamedStore) {
-  for (const std::string& name : strategy_names()) {
-    const RunOutput serial =
-        run_once(name, pairs(), aartr_path(), SourceKind::aartr, -1);
-    for (const int threads : {1, 2, 3, 8}) {
-      const RunOutput parallel =
-          run_once(name, pairs(), aartr_path(), SourceKind::aartr, threads);
-      EXPECT_EQ(parallel.result_bytes, serial.result_bytes)
-          << name << " threads=" << threads;
-      EXPECT_EQ(parallel.ruleset_bytes, serial.ruleset_bytes)
-          << name << " threads=" << threads;
-      EXPECT_EQ(scrub(parallel.metrics, /*drop_par=*/true),
-                scrub(serial.metrics, /*drop_par=*/true))
-          << name << " threads=" << threads;
-    }
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+    check_golden(SourceKind::aartr, threads);
   }
 }
 
 TEST_F(ParDifferentialTest, MetricsIdenticalAcrossThreadCounts) {
-  // Between parallel runs the par.* metrics themselves must agree too: the
-  // shard count is fixed (independent of workers), so only timers — already
-  // excluded — may differ with the thread count.
+  // No metric depends on the thread count: a threaded run emits exactly the
+  // timer-free snapshot of the serial one (only timers, already excluded,
+  // may differ).
   for (const std::string& name : strategy_names()) {
     const RunOutput baseline =
         run_once(name, pairs(), aartr_path(), SourceKind::memory, 1);
-    for (const int threads : {2, 3, 8}) {
+    for (const std::size_t threads : {2u, 3u, 8u}) {
       const RunOutput other =
           run_once(name, pairs(), aartr_path(), SourceKind::memory, threads);
-      EXPECT_EQ(scrub(other.metrics, /*drop_par=*/false),
-                scrub(baseline.metrics, /*drop_par=*/false))
+      EXPECT_EQ(other.metrics, baseline.metrics)
           << name << " threads=" << threads;
     }
   }
 }
 
 TEST_F(ParDifferentialTest, StreamedAndInMemorySourcesAgree) {
-  // The two source paths replay the same pair stream, so the parallel
-  // engine must produce the same result and rule set from either.
-  for (const int threads : {1, 8}) {
-    const RunOutput memory =
-        run_once("sliding", pairs(), aartr_path(), SourceKind::memory, threads);
-    const RunOutput streamed =
-        run_once("sliding", pairs(), aartr_path(), SourceKind::aartr, threads);
-    EXPECT_EQ(memory.result_bytes, streamed.result_bytes)
-        << "threads=" << threads;
-    EXPECT_EQ(memory.ruleset_bytes, streamed.ruleset_bytes)
-        << "threads=" << threads;
+  // The two source paths replay the same pair stream, so they must produce
+  // the same result and rule set at any thread count.
+  for (const std::size_t threads : {1u, 8u}) {
+    for (const std::string& name : strategy_names()) {
+      const RunOutput memory =
+          run_once(name, pairs(), aartr_path(), SourceKind::memory, threads);
+      const RunOutput streamed =
+          run_once(name, pairs(), aartr_path(), SourceKind::aartr, threads);
+      EXPECT_EQ(memory.result_bytes, streamed.result_bytes)
+          << name << " threads=" << threads;
+      EXPECT_EQ(memory.ruleset_bytes, streamed.ruleset_bytes)
+          << name << " threads=" << threads;
+    }
   }
 }
 
@@ -267,41 +257,21 @@ TEST_F(ParDifferentialTest, RepeatedParallelRunsAreIdentical) {
       run_once("adaptive", pairs(), aartr_path(), SourceKind::memory, 8);
   EXPECT_EQ(first.result_bytes, second.result_bytes);
   EXPECT_EQ(first.ruleset_bytes, second.ruleset_bytes);
-  EXPECT_EQ(scrub(first.metrics, false), scrub(second.metrics, false));
-}
-
-TEST_F(ParDifferentialTest, ShardAndQueueKnobsAreOutputNeutral) {
-  const RunOutput baseline =
-      run_once("sliding", pairs(), aartr_path(), SourceKind::memory, -1);
-  for (const std::size_t shards : {1u, 4u, 32u}) {
-    for (const std::size_t depth : {1u, 4u}) {
-      obs::Registry::global().reset();
-      std::unique_ptr<Strategy> strategy = make_strategy("sliding");
-      TraceSimulator simulator(*strategy, kBlockSize);
-      ParallelConfig config;
-      config.threads = 2;
-      config.shards = shards;
-      config.queue_depth = depth;
-      const SimulationResult result = simulator.run_parallel(pairs(), config);
-      EXPECT_EQ(encode(result), baseline.result_bytes)
-          << "shards=" << shards << " depth=" << depth;
-      std::ostringstream ruleset;
-      strategy->current_ruleset().save(ruleset);
-      EXPECT_EQ(ruleset.str(), baseline.ruleset_bytes)
-          << "shards=" << shards << " depth=" << depth;
-    }
-  }
+  EXPECT_EQ(first.metrics, second.metrics);
 }
 
 TEST_F(ParDifferentialTest, RunParallelValidatesLikeSerial) {
+  // A threaded replay rejects the same inputs, with the same exception
+  // types, as the serial one — before any worker pool exists.
   SlidingWindow strategy(kMinSupport);
   const std::vector<trace::QueryReplyPair> empty;
-  TraceSimulator zero(strategy, 0);
-  EXPECT_THROW((void)zero.run_parallel(pairs()), std::invalid_argument);
-  TraceSimulator simulator(strategy, kBlockSize);
-  EXPECT_THROW((void)simulator.run_parallel(empty), std::runtime_error);
+  EXPECT_THROW((void)run_trace_simulation(strategy, pairs(), 0, 8),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_trace_simulation(strategy, empty, kBlockSize, 8),
+               std::runtime_error);
   const auto single = pairs_for_blocks(1);
-  EXPECT_THROW((void)simulator.run_parallel(single), std::runtime_error);
+  EXPECT_THROW((void)run_trace_simulation(strategy, single, kBlockSize, 8),
+               std::runtime_error);
 }
 
 }  // namespace

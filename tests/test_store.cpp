@@ -301,6 +301,18 @@ TEST_F(StoreTest, BlockSourcePropagatesDecodeErrors) {
   EXPECT_THROW((void)source.next_block(200), std::runtime_error);
 }
 
+TEST_F(StoreTest, BlockSourcePrefetchDestroyedMidStreamJoinsCleanly) {
+  // Destroying the source while its worker still decodes the next chunk
+  // must join that worker, not hang or touch freed slot state (the TSan job
+  // runs this through its Prefetch filter).
+  write_pairs_file(path("aar_s.aartr"), sample_pairs(2'000), 128);
+  const Reader reader(path("aar_s.aartr"));
+  for (int round = 0; round < 20; ++round) {
+    StoreBlockSource source(reader);
+    ASSERT_EQ(source.next_block(100).size(), 100u);  // next chunk in flight
+  }
+}
+
 TEST_F(StoreTest, BlockSourceRejectsNonPairStreams) {
   trace::Database db;
   db.add_query(QueryRecord{.time = 1.0, .guid = 1, .source_host = 2, .query = 3});

@@ -1,4 +1,4 @@
-// Integration: TraceSimulator replay through a streaming aartr BlockSource
+// Integration: block replay through a streaming aartr BlockSource
 // must produce exactly the per-block (coverage, success) series that
 // in-memory replay produces, for every maintenance strategy — the
 // correctness contract that lets the out-of-core path substitute for the

@@ -174,41 +174,6 @@ TEST(TraceSimulator, EvalSecondsSeriesCoversEveryTestedBlock) {
   }
 }
 
-TEST(TraceSimulator, ClassFacadeMatchesFreeFunctions) {
-  // TraceSimulator::run is a strict delegate of run_trace_simulation; the
-  // object exists so run_parallel (aar::par) can share its configuration.
-  const auto pairs = pairs_for_blocks(8);
-  SlidingWindow a(10);
-  SlidingWindow b(10);
-  TraceSimulator simulator(a, fast_config().block_size);
-  EXPECT_EQ(simulator.block_size(), fast_config().block_size);
-  EXPECT_EQ(&simulator.strategy(), &a);
-  const SimulationResult via_class = simulator.run(pairs);
-  const SimulationResult via_free =
-      run_trace_simulation(b, pairs, fast_config().block_size);
-  EXPECT_EQ(via_class.blocks_tested, via_free.blocks_tested);
-  EXPECT_EQ(via_class.rulesets_generated, via_free.rulesets_generated);
-  for (std::size_t i = 0; i < via_free.coverage.size(); ++i) {
-    EXPECT_DOUBLE_EQ(via_class.coverage[i], via_free.coverage[i]);
-    EXPECT_DOUBLE_EQ(via_class.success[i], via_free.success[i]);
-  }
-}
-
-TEST(TraceSimulator, ClassFacadeSourceOverloadMatchesSpanOverload) {
-  const auto pairs = pairs_for_blocks(6);
-  SlidingWindow a(10);
-  SlidingWindow b(10);
-  TraceSimulator via_span(a, fast_config().block_size);
-  TraceSimulator via_source(b, fast_config().block_size);
-  const SimulationResult span_result = via_span.run(pairs);
-  trace::SpanBlockSource source(pairs);
-  const SimulationResult source_result = via_source.run(source);
-  EXPECT_EQ(span_result.blocks_tested, source_result.blocks_tested);
-  for (std::size_t i = 0; i < span_result.coverage.size(); ++i) {
-    EXPECT_DOUBLE_EQ(span_result.coverage[i], source_result.coverage[i]);
-  }
-}
-
 TEST(TraceSimulator, DeterministicAcrossRuns) {
   const auto pairs = pairs_for_blocks(10);
   SlidingWindow a(10);

@@ -47,11 +47,11 @@
 // the config minus --threads/--shards; wall-clock timings go to stderr so
 // runs diff cleanly.
 //
-// `run --threads N` replays through the deterministic parallel engine
-// (aar::par): results are byte-identical to the serial path for every thread
-// count (docs/PARALLEL.md).  `compare --threads N` sweeps the six strategies
-// on a thread pool.  `--no-timers` strips wall-clock data from --metrics so
-// same-input snapshots compare byte-for-byte.
+// `run --threads N` evaluates each test block sharded by query GUID on N
+// workers: results and metrics are byte-identical to the serial replay for
+// every thread count (docs/PARALLEL.md).  `compare --threads N` sweeps the
+// six strategies on a thread pool.  `--no-timers` strips wall-clock data
+// from --metrics so same-input snapshots compare byte-for-byte.
 //
 // Exit status: 0 on success, 2 on usage errors — including unknown or
 // malformed flags, which are rejected rather than silently ignored.
@@ -142,7 +142,7 @@ int usage() {
          "traces:     *.csv loads in memory; *.aartr streams out-of-core\n"
          "--metrics:  write an aar.metrics.v1 JSON snapshot of the obs\n"
          "            registry ('-' prints console tables instead)\n"
-         "--threads:  run: deterministic parallel replay (0 = all cores);\n"
+         "--threads:  run: GUID-sharded block evaluation (0 = all cores);\n"
          "            compare: sweep strategies on a thread pool\n"
          "--no-timers: exclude wall-clock timers from --metrics output so\n"
          "            same-input snapshots are byte-identical\n";
@@ -327,13 +327,10 @@ int cmd_run(const Options& options) {
   if (strategy == nullptr) return usage();
   const auto block_size =
       static_cast<std::size_t>(options.num("block-size", 10'000));
-  // --threads routes the replay through the deterministic parallel engine;
-  // its results are byte-identical to the serial path for any thread count
-  // (docs/PARALLEL.md), so everything below is oblivious to the choice.
-  const bool parallel = options.has("threads");
-  core::ParallelConfig par_config;
-  par_config.threads = static_cast<std::size_t>(options.num("threads", 0));
-  core::TraceSimulator simulator(*strategy, block_size);
+  // --threads shards each test block's evaluation; results are
+  // byte-identical for any thread count (docs/PARALLEL.md), so everything
+  // below is oblivious to the choice.
+  const auto threads = static_cast<std::size_t>(options.num("threads", 1));
   core::SimulationResult result;
   if (options.has("trace") && is_aartr(options.get("trace", ""))) {
     // Out-of-core path: decode chunk-by-chunk with prefetch, never holding
@@ -348,8 +345,7 @@ int cmd_run(const Options& options) {
     store::StoreBlockSource source(reader);
     std::cout << "streaming " << reader.num_records() << " pairs from " << path
               << " (" << reader.num_chunks() << " chunks)\n";
-    result = parallel ? simulator.run_parallel(source, par_config)
-                      : simulator.run(source);
+    result = core::run_trace_simulation(*strategy, source, block_size, threads);
   } else {
     const auto pairs = load_or_generate(options);
     if (pairs.size() < 2 * block_size) {
@@ -357,8 +353,7 @@ int cmd_run(const Options& options) {
                 << " pairs for block size " << block_size << "\n";
       return 2;
     }
-    result = parallel ? simulator.run_parallel(pairs, par_config)
-                      : simulator.run(pairs);
+    result = core::run_trace_simulation(*strategy, pairs, block_size, threads);
   }
   std::cout << result.to_string() << "\n";
   util::Table table({"block", "coverage", "success"});
