@@ -18,10 +18,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "assoc/stream.hpp"
 #include "core/measures.hpp"
 #include "core/ruleset.hpp"
 #include "mining/incremental_miner.hpp"
+#include "mining/lossy_counter.hpp"
 
 namespace aar::core {
 
@@ -259,8 +259,8 @@ class StreamingRuleset final : public PrequentialStrategy {
   double min_effective_;
   std::uint64_t epoch_pairs_;
   std::uint64_t pairs_in_epoch_ = 0;
-  assoc::LossyCounter current_;
-  assoc::LossyCounter previous_;
+  mining::LossyCounter current_;
+  mining::LossyCounter previous_;
 };
 
 }  // namespace aar::core

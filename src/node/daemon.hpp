@@ -228,7 +228,8 @@ class Daemon {
   /// checkpoint file is a cold start, never an abort.
   void open_state();
   /// Write the miner window to `<state-dir>/window.aartr` (tmp + atomic
-  /// rename) and flush the archive store.  Control thread only.
+  /// rename), then flush and compact the archive store (Store::maintain),
+  /// so its run count stays bounded over uptime.  Control thread only.
   void checkpoint();
   [[nodiscard]] std::string stats_text() const;
   [[nodiscard]] std::string metrics_json();

@@ -6,12 +6,19 @@
 // parser consumed "--key value" pairs it did not recognize, so a typo like
 // `--block_size 5000` ran the command with the default block size and
 // reported success.  aar_sim must exit nonzero (2, the usage status) for
-// unknown flags, flags missing their value, and stray positional arguments.
+// unknown flags, flags missing their value, stray positional arguments, and
+// numeric values that do not parse in full or fall outside the flag's range
+// (the shared util::parse_flag, unit-tested at the bottom).
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
+
+#include "util/flags.hpp"
 
 namespace {
 
@@ -65,6 +72,23 @@ TEST(CliUsage, ValidInvocationsStillSucceed) {
   EXPECT_EQ(run_sim("compare --pairs 4000 --block-size 500 --threads 2"), 0);
 }
 
+TEST(CliUsage, MalformedNumericFlagIsAUsageError) {
+  // Numeric flags used to go through an unchecked strtol/strtod: "abc"
+  // read as 0 (run on all cores), and out-of-range values ran as written.
+  EXPECT_EQ(run_sim("run --strategy sliding --pairs 4000 --block-size 500 "
+                    "--threads abc"),
+            2);
+  EXPECT_EQ(run_sim("run --strategy sliding --pairs 4000 --block-size 500 "
+                    "--threads 65"),
+            2);
+  EXPECT_EQ(run_sim("run --strategy sliding --pairs 4000 --block-size 5x0"),
+            2);
+  EXPECT_EQ(run_sim("compare --pairs 4000 --block-size 500 --threads two"), 2);
+  EXPECT_EQ(run_sim("rules --pairs 4000 --min-confidence 1.5"), 2);
+  EXPECT_EQ(run_sim("scale --nodes 300 --epochs 1 --drop 0.5x"), 2);
+  EXPECT_EQ(run_sim("scale --nodes 300 --epochs 1 --drop 2"), 2);
+}
+
 TEST(CliUsage, MissingStrategyIsAUsageError) {
   EXPECT_EQ(run_sim("run --blocks 3 --block-size 500"), 2);
 }
@@ -87,6 +111,66 @@ TEST(CliScale, SmallPopulationRunSucceeds) {
   EXPECT_EQ(run_sim("scale --nodes 300 --warmup 10 --searches 30 --epochs 2 "
                     "--churn 3 --threads 2 --shards 8"),
             0);
+}
+
+// --- util::parse_number / parse_flag -------------------------------------
+
+using aar::util::FlagError;
+using aar::util::parse_flag;
+using aar::util::parse_number;
+
+TEST(FlagParse, IntegersMustParseInFullAndInRange) {
+  EXPECT_EQ(parse_number<std::size_t>("64", 0, 64), 64u);
+  EXPECT_EQ(parse_number<std::size_t>("+2", 0, 64), 2u);
+  EXPECT_EQ(parse_number<std::size_t>("65", 0, 64), std::nullopt);
+  EXPECT_EQ(parse_number<std::size_t>("-1", 0, 64), std::nullopt);
+  EXPECT_EQ(parse_number<std::size_t>("abc", 0, 64), std::nullopt);
+  EXPECT_EQ(parse_number<std::size_t>("4x", 0, 64), std::nullopt);
+  EXPECT_EQ(parse_number<std::size_t>(" 4", 0, 64), std::nullopt);
+  EXPECT_EQ(parse_number<std::size_t>("", 0, 64), std::nullopt);
+  EXPECT_EQ(parse_number<std::size_t>("+", 0, 64), std::nullopt);
+  EXPECT_EQ(parse_number<int>("+-1", -5, 5), std::nullopt);
+  EXPECT_EQ(parse_number<int>("-5", -5, 5), -5);
+}
+
+TEST(FlagParse, IntegerRangeIsTheTypeRangeByDefault) {
+  EXPECT_EQ(parse_flag<std::uint16_t>("port", "65535"), 65535);
+  EXPECT_THROW((void)parse_flag<std::uint16_t>("port", "70000"), FlagError);
+  EXPECT_EQ(parse_flag<std::uint64_t>("seed", "18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_THROW((void)parse_flag<std::uint64_t>("seed", "18446744073709551616"),
+               FlagError);
+  EXPECT_THROW((void)parse_flag<std::uint32_t>("min-support", "-1"),
+               FlagError);
+}
+
+TEST(FlagParse, RealsRejectGarbageNanAndOutOfRange) {
+  EXPECT_EQ(parse_number("0.25", 0.0, 1.0), 0.25);
+  EXPECT_EQ(parse_number("1e-3", 0.0, 1.0), 1e-3);
+  EXPECT_EQ(parse_number("1", 0.0, 1.0), 1.0);
+  EXPECT_EQ(parse_number("1.5", 0.0, 1.0), std::nullopt);
+  EXPECT_EQ(parse_number("-0.1", 0.0, 1.0), std::nullopt);
+  EXPECT_EQ(parse_number("nan", 0.0, 1.0), std::nullopt);
+  EXPECT_EQ(parse_number("inf", 0.0, 1.0), std::nullopt);
+  EXPECT_EQ(parse_number("0.5x", 0.0, 1.0), std::nullopt);
+  EXPECT_EQ(parse_number("0,5", 0.0, 1.0), std::nullopt);
+}
+
+TEST(FlagParse, ErrorNamesTheFlagRangeAndValue) {
+  try {
+    (void)parse_flag<std::size_t>("threads", "abc", 0, 64);
+    FAIL() << "no FlagError";
+  } catch (const FlagError& error) {
+    EXPECT_STREQ(error.what(),
+                 "--threads must be an integer in 0..64, got 'abc'");
+  }
+  try {
+    (void)parse_flag<std::uint64_t>("expect-hits", "0", 1);
+    FAIL() << "no FlagError";
+  } catch (const FlagError& error) {
+    EXPECT_STREQ(error.what(),
+                 "--expect-hits must be a positive integer, got '0'");
+  }
 }
 
 }  // namespace

@@ -694,6 +694,16 @@ TEST(NodeCli, ReplayExpectHitsMustBeAPositiveInteger) {
   EXPECT_EQ(run_cli("replay --port 1 --expect-hits many"), 2);
 }
 
+TEST(NodeCli, NumericFlagsAreCheckedAgainstTheirTypeRange) {
+  // These used to go through an unchecked strtol: "abc" read as 0 and
+  // 70000 wrapped to port 4464, so both ran (and failed to connect).
+  EXPECT_EQ(run_cli("replay --port 1 --pairs abc"), 2);
+  EXPECT_EQ(run_cli("admin --port 70000"), 2);
+  EXPECT_EQ(run_cli("replay --port 1 --ttl 256"), 2);
+  EXPECT_EQ(run_cli("serve --window -1"), 2);
+  EXPECT_EQ(run_cli("serve --checkpoint-ms 10x"), 2);
+}
+
 // --- replay stats rendering ----------------------------------------------
 
 TEST(NodeReplay, LatencyLinesRenderNotAvailableWithoutSamples) {

@@ -17,6 +17,8 @@
 //     rules and re-learns from replayed traffic.
 //   * Torn checkpoint — a corrupt window.aartr is a cold start, never an
 //     abort.
+//   * Archive runs — checkpoints compact the archive, so its run files
+//     stay bounded over many restart cycles.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "gnutella/codec.hpp"
+#include "lsm/manifest.hpp"
 #include "lsm/store.hpp"
 #include "node/daemon.hpp"
 #include "node/net.hpp"
@@ -252,6 +255,28 @@ TEST(NodeRestart, PeriodicCheckpointWritesWithoutShutdown) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(std::filesystem::exists(tmp.path("state") + "/window.aartr"));
+}
+
+TEST(NodeRestart, CheckpointsCompactTheArchiveAcrossRestarts) {
+  // Every cycle mines fresh pairs and ends in one shutdown checkpoint.  A
+  // checkpoint that only flushed would leave one level-0 run per cycle; the
+  // archive never fills its memtable budget, so nothing else compacts.
+  ScopedTempDir tmp("aar_node_archive_runs");
+  const std::string state_dir = tmp.path("state");
+  constexpr int kCycles = 8;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    RestartHarness harness(state_config(state_dir));
+    harness.connect(2);
+    drive_workload(harness, 16, 4, 2);
+    harness.shutdown();
+  }
+  std::size_t run_files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(state_dir + "/archive")) {
+    if (lsm::is_run_file_name(entry.path().filename().string())) ++run_files;
+  }
+  EXPECT_LT(run_files, lsm::StoreOptions{}.level_fanout);
+  EXPECT_GT(run_files, 0u);
 }
 
 }  // namespace

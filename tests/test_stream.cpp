@@ -5,9 +5,9 @@
 
 #include <map>
 
-#include "assoc/stream.hpp"
 #include "core/strategy.hpp"
 #include "core/trace_simulator.hpp"
+#include "mining/lossy_counter.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
 
@@ -17,7 +17,7 @@ namespace {
 // --- LossyCounter ---------------------------------------------------------------
 
 TEST(LossyCounter, ExactForShortStreams) {
-  assoc::LossyCounter counter(0.01);  // bucket width 100
+  mining::LossyCounter counter(0.01);  // bucket width 100
   for (int i = 0; i < 50; ++i) counter.add(7);
   for (int i = 0; i < 30; ++i) counter.add(9);
   EXPECT_EQ(counter.count(7), 50u);
@@ -28,7 +28,7 @@ TEST(LossyCounter, ExactForShortStreams) {
 
 TEST(LossyCounter, NeverOvercountsAndUndercountsWithinEpsilonN) {
   constexpr double kEpsilon = 0.005;
-  assoc::LossyCounter counter(kEpsilon);
+  mining::LossyCounter counter(kEpsilon);
   std::map<std::uint64_t, std::uint64_t> truth;
   util::Rng rng(3);
   // Zipf-ish stream over 200 keys.
@@ -55,7 +55,7 @@ TEST(LossyCounter, NeverOvercountsAndUndercountsWithinEpsilonN) {
 TEST(LossyCounter, FrequentIsSupersetOfTrulyFrequent) {
   constexpr double kEpsilon = 0.002;
   constexpr double kSupport = 0.02;
-  assoc::LossyCounter counter(kEpsilon);
+  mining::LossyCounter counter(kEpsilon);
   std::map<std::uint64_t, std::uint64_t> truth;
   util::Rng rng(5);
   util::ZipfSampler zipf(500, 1.1);
@@ -76,7 +76,7 @@ TEST(LossyCounter, FrequentIsSupersetOfTrulyFrequent) {
 }
 
 TEST(LossyCounter, MemoryStaysBounded) {
-  assoc::LossyCounter counter(0.01);
+  mining::LossyCounter counter(0.01);
   util::Rng rng(7);
   // A million items over a huge key space: the table must stay near
   // O(1/ε · log εN) — far below the distinct-key count.
@@ -87,7 +87,7 @@ TEST(LossyCounter, MemoryStaysBounded) {
 }
 
 TEST(LossyCounter, ClearResets) {
-  assoc::LossyCounter counter(0.1);
+  mining::LossyCounter counter(0.1);
   counter.add(1);
   counter.add(1);
   counter.clear();

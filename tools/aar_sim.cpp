@@ -58,10 +58,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -83,6 +81,7 @@
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
 #include "util/csv.hpp"
+#include "util/flags.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
@@ -90,25 +89,7 @@ namespace {
 
 using namespace aar;
 
-struct Options {
-  std::string command;
-  std::map<std::string, std::string> flags;
-  std::string parse_error;  ///< non-empty: malformed argv, refuse to run
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  [[nodiscard]] long num(const std::string& key, long fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::strtol(it->second.c_str(),
-                                                      nullptr, 10);
-  }
-  [[nodiscard]] bool has(const std::string& key) const {
-    return flags.contains(key);
-  }
-};
+using Options = util::CommandLine;
 
 int usage() {
   std::cerr
@@ -156,77 +137,35 @@ bool has_suffix(const std::string& path, const std::string& suffix) {
 
 bool is_aartr(const std::string& path) { return has_suffix(path, ".aartr"); }
 
+/// The --threads cap for run, compare and scale (0 = all cores).
+constexpr std::size_t kMaxThreads = 64;
+
 /// Flags that take no value argument.
 constexpr std::string_view kBooleanFlags[] = {"no-timers"};
 
 /// Flags each subcommand accepts.  An unknown flag is a hard usage error
 /// (exit 2) — it used to be silently ignored, so a typo like --block_size
 /// ran the command with the default and nothing ever noticed.
-const std::map<std::string, std::vector<std::string>, std::less<>>
-    kAllowedFlags = {
-        {"generate", {"pairs", "seed", "block-size", "out"}},
-        {"run",
-         {"strategy", "trace", "blocks", "pairs", "block-size", "min-support",
-          "period", "history", "seed", "csv", "metrics", "threads",
-          "no-timers"}},
-        {"compare",
-         {"trace", "blocks", "pairs", "block-size", "min-support", "period",
-          "history", "seed", "metrics", "threads", "no-timers"}},
-        {"convert", {"in", "out", "kind", "chunk"}},
-        {"inspect", {"in"}},
-        {"rules",
-         {"trace", "blocks", "pairs", "seed", "block-size", "window",
-          "min-support", "min-confidence", "top", "json"}},
-        {"faults", {"scenario", "seed", "metrics"}},
-        {"scale",
-         {"nodes", "policy", "searches", "epochs", "churn", "drop", "crashed",
-          "threads", "shards", "seed", "ttl", "warmup", "timeout", "retries",
-          "attach", "metrics"}},
+const util::AllowedFlags kAllowedFlags = {
+    {"generate", {"pairs", "seed", "block-size", "out"}},
+    {"run",
+     {"strategy", "trace", "blocks", "pairs", "block-size", "min-support",
+      "period", "history", "seed", "csv", "metrics", "threads",
+      "no-timers"}},
+    {"compare",
+     {"trace", "blocks", "pairs", "block-size", "min-support", "period",
+      "history", "seed", "metrics", "threads", "no-timers"}},
+    {"convert", {"in", "out", "kind", "chunk"}},
+    {"inspect", {"in"}},
+    {"rules",
+     {"trace", "blocks", "pairs", "seed", "block-size", "window",
+      "min-support", "min-confidence", "top", "json"}},
+    {"faults", {"scenario", "seed", "metrics"}},
+    {"scale",
+     {"nodes", "policy", "searches", "epochs", "churn", "drop", "crashed",
+      "threads", "shards", "seed", "ttl", "warmup", "timeout", "retries",
+      "attach", "metrics"}},
 };
-
-bool is_boolean_flag(const std::string& key) {
-  return std::find(std::begin(kBooleanFlags), std::end(kBooleanFlags), key) !=
-         std::end(kBooleanFlags);
-}
-
-Options parse(int argc, char** argv) {
-  Options options;
-  if (argc >= 2) options.command = argv[1];
-  for (int i = 2; i < argc;) {
-    const std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      options.parse_error = "unexpected argument '" + key + "'";
-      return options;
-    }
-    const std::string name = key.substr(2);
-    if (is_boolean_flag(name)) {
-      options.flags[name] = "";
-      i += 1;
-      continue;
-    }
-    if (i + 1 >= argc) {
-      options.parse_error = "flag '" + key + "' needs a value";
-      return options;
-    }
-    options.flags[name] = argv[i + 1];
-    i += 2;
-  }
-  return options;
-}
-
-/// Reject flags the subcommand does not understand (after parse succeeded).
-/// Returns the empty string when everything checks out.
-std::string unknown_flag(const Options& options) {
-  const auto it = kAllowedFlags.find(options.command);
-  if (it == kAllowedFlags.end()) return {};  // unknown command: usage anyway
-  for (const auto& [key, value] : options.flags) {
-    if (std::find(it->second.begin(), it->second.end(), key) ==
-        it->second.end()) {
-      return key;
-    }
-  }
-  return {};
-}
 
 std::vector<trace::QueryReplyPair> load_or_generate(const Options& options) {
   if (options.has("trace")) {
@@ -236,34 +175,31 @@ std::vector<trace::QueryReplyPair> load_or_generate(const Options& options) {
     return trace::read_pairs_csv(path);
   }
   trace::TraceConfig config;
-  config.seed = static_cast<std::uint64_t>(options.num("seed", 42));
-  config.block_size =
-      static_cast<std::uint32_t>(options.num("block-size", 10'000));
+  config.seed = options.num<std::uint64_t>("seed", 42);
+  config.block_size = options.num<std::uint32_t>("block-size", 10'000);
   // --pairs is an exact pair target; --blocks counts test blocks (one extra
   // bootstrap block is generated on top).
   if (options.has("pairs")) {
     trace::TraceGenerator generator(config);
-    return generator.generate_pairs(
-        static_cast<std::size_t>(options.num("pairs", 0)));
+    return generator.generate_pairs(options.num<std::size_t>("pairs", 0));
   }
-  const auto blocks = static_cast<std::size_t>(options.num("blocks", 80));
+  const auto blocks = options.num<std::size_t>("blocks", 80);
   trace::TraceGenerator generator(config);
   return generator.generate_pairs((blocks + 1) * config.block_size);
 }
 
 std::unique_ptr<core::Strategy> make_strategy(const std::string& name,
                                               const Options& options) {
-  const auto min_support =
-      static_cast<std::uint32_t>(options.num("min-support", 10));
+  const auto min_support = options.num<std::uint32_t>("min-support", 10);
   if (name == "static") return std::make_unique<core::StaticRuleset>(min_support);
   if (name == "sliding") return std::make_unique<core::SlidingWindow>(min_support);
   if (name == "lazy") {
     return std::make_unique<core::LazySlidingWindow>(
-        min_support, static_cast<std::uint32_t>(options.num("period", 10)));
+        min_support, options.num<std::uint32_t>("period", 10));
   }
   if (name == "adaptive") {
     return std::make_unique<core::AdaptiveSlidingWindow>(
-        min_support, static_cast<std::size_t>(options.num("history", 10)));
+        min_support, options.num<std::size_t>("history", 10));
   }
   if (name == "incremental") {
     return std::make_unique<core::IncrementalRuleset>(min_support);
@@ -301,10 +237,9 @@ int write_metrics(const Options& options,
 int cmd_generate(const Options& options) {
   if (!options.has("pairs") || !options.has("out")) return usage();
   trace::TraceConfig config;
-  config.seed = static_cast<std::uint64_t>(options.num("seed", 42));
-  config.block_size =
-      static_cast<std::uint32_t>(options.num("block-size", 10'000));
-  const auto pair_target = static_cast<std::size_t>(options.num("pairs", 0));
+  config.seed = options.num<std::uint64_t>("seed", 42);
+  config.block_size = options.num<std::uint32_t>("block-size", 10'000);
+  const auto pair_target = options.num<std::size_t>("pairs", 0);
   trace::TraceGenerator generator(config);
   trace::Database db;
   db.import(generator, pair_target);
@@ -325,12 +260,11 @@ int cmd_run(const Options& options) {
   const std::string name = options.get("strategy", "");
   std::unique_ptr<core::Strategy> strategy = make_strategy(name, options);
   if (strategy == nullptr) return usage();
-  const auto block_size =
-      static_cast<std::size_t>(options.num("block-size", 10'000));
+  const auto block_size = options.num<std::size_t>("block-size", 10'000);
   // --threads shards each test block's evaluation; results are
   // byte-identical for any thread count (docs/PARALLEL.md), so everything
   // below is oblivious to the choice.
-  const auto threads = static_cast<std::size_t>(options.num("threads", 1));
+  const auto threads = options.num<std::size_t>("threads", 1, 0, kMaxThreads);
   core::SimulationResult result;
   if (options.has("trace") && is_aartr(options.get("trace", ""))) {
     // Out-of-core path: decode chunk-by-chunk with prefetch, never holding
@@ -389,8 +323,8 @@ int cmd_run(const Options& options) {
 }
 
 int cmd_compare(const Options& options) {
-  const auto block_size =
-      static_cast<std::size_t>(options.num("block-size", 10'000));
+  const auto block_size = options.num<std::size_t>("block-size", 10'000);
+  const auto threads = options.num<std::size_t>("threads", 0, 0, kMaxThreads);
   const bool streamed =
       options.has("trace") && is_aartr(options.get("trace", ""));
   std::unique_ptr<store::Reader> reader;
@@ -420,7 +354,7 @@ int cmd_compare(const Options& options) {
     // collected per slot and printed in the fixed strategy order, keeping
     // stdout identical to the sequential sweep.  (The store::Reader is safe
     // for concurrent passes — each decode opens its own file handle.)
-    util::ThreadPool pool(static_cast<std::size_t>(options.num("threads", 0)));
+    util::ThreadPool pool(threads);
     for (std::size_t i = 0; i < names.size(); ++i) {
       pool.submit([&sweep_one, i] { sweep_one(i); });
     }
@@ -446,7 +380,7 @@ int cmd_convert(const Options& options) {
   const std::string out = options.get("out", "");
   const std::string kind = options.get("kind", "pairs");
   const auto chunk =
-      static_cast<std::uint32_t>(options.num("chunk", store::kDefaultChunkRecords));
+      options.num<std::uint32_t>("chunk", store::kDefaultChunkRecords);
 
   if (has_suffix(in, ".csv") && is_aartr(out)) {
     std::size_t records = 0;
@@ -517,13 +451,11 @@ struct RuleRow {
 };
 
 int cmd_rules(const Options& options) {
+  const auto window = options.num<std::size_t>("window", 10'000);
+  const auto min_support = options.num<std::uint32_t>("min-support", 10);
+  const double min_confidence = options.num("min-confidence", 0.0, 0.0, 1.0);
+  const auto top = options.num<std::size_t>("top", 0);
   const auto pairs = load_or_generate(options);
-  const auto window = static_cast<std::size_t>(options.num("window", 10'000));
-  const auto min_support =
-      static_cast<std::uint32_t>(options.num("min-support", 10));
-  const double min_confidence =
-      std::strtod(options.get("min-confidence", "0").c_str(), nullptr);
-  const auto top = static_cast<std::size_t>(options.num("top", 0));
 
   // Mine the most recent --window pairs (0 = the whole trace) through the
   // incremental engine, exactly as a live node would hold them.
@@ -615,7 +547,7 @@ int cmd_faults(const Options& options) {
   if (!options.has("scenario")) return usage();
   const fault::Scenario scenario =
       fault::load_scenario(options.get("scenario", ""));
-  const auto seed = static_cast<std::uint64_t>(options.num("seed", 7));
+  const auto seed = options.num<std::uint64_t>("seed", 7);
 
   std::cout << "scenario: " << options.get("scenario", "") << " seed: " << seed
             << " policy: " << scenario.policy << " nodes: " << scenario.nodes
@@ -686,21 +618,21 @@ int cmd_faults(const Options& options) {
 
 int cmd_scale(const Options& options) {
   sim::ScaleConfig config;
-  config.seed = static_cast<std::uint64_t>(options.num("seed", 7));
-  config.nodes = static_cast<std::size_t>(options.num("nodes", 100'000));
-  config.attach = static_cast<std::size_t>(options.num("attach", 3));
+  config.seed = options.num<std::uint64_t>("seed", 7);
+  config.nodes = options.num<std::size_t>("nodes", 100'000);
+  config.attach = options.num<std::size_t>("attach", 3);
   config.policy = options.get("policy", "association");
-  config.ttl = static_cast<std::uint32_t>(options.num("ttl", 4));
-  config.warmup = static_cast<std::size_t>(options.num("warmup", 500));
-  config.searches = static_cast<std::size_t>(options.num("searches", 1'500));
-  config.epochs = static_cast<std::size_t>(options.num("epochs", 2));
-  config.churn = static_cast<std::size_t>(options.num("churn", 50));
-  config.timeout = static_cast<std::uint32_t>(options.num("timeout", 0));
-  config.retries = static_cast<std::uint32_t>(options.num("retries", 0));
-  config.drop = std::strtod(options.get("drop", "0").c_str(), nullptr);
-  config.crashed = static_cast<std::size_t>(options.num("crashed", 0));
-  config.threads = static_cast<std::size_t>(options.num("threads", 1));
-  config.shards = static_cast<std::size_t>(options.num("shards", 0));
+  config.ttl = options.num<std::uint32_t>("ttl", 4);
+  config.warmup = options.num<std::size_t>("warmup", 500);
+  config.searches = options.num<std::size_t>("searches", 1'500);
+  config.epochs = options.num<std::size_t>("epochs", 2);
+  config.churn = options.num<std::size_t>("churn", 50);
+  config.timeout = options.num<std::uint32_t>("timeout", 0);
+  config.retries = options.num<std::uint32_t>("retries", 0);
+  config.drop = options.num("drop", 0.0, 0.0, 1.0);
+  config.crashed = options.num<std::size_t>("crashed", 0);
+  config.threads = options.num<std::size_t>("threads", 1, 0, kMaxThreads);
+  config.shards = options.num<std::size_t>("shards", 0);
   if (config.nodes < 2 || config.epochs == 0) {
     std::cerr << "scale: need --nodes >= 2 and --epochs >= 1\n";
     return 2;
@@ -755,12 +687,13 @@ int cmd_scale(const Options& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options options = parse(argc, argv);
+  const Options options = Options::parse(argc, argv, kBooleanFlags);
   if (!options.parse_error.empty()) {
     std::cerr << "aar_sim: " << options.parse_error << "\n";
     return usage();
   }
-  if (const std::string flag = unknown_flag(options); !flag.empty()) {
+  if (const std::string flag = options.unknown_flag(kAllowedFlags);
+      !flag.empty()) {
     std::cerr << "aar_sim: unknown flag '--" << flag << "' for '"
               << options.command << "'\n";
     return usage();
@@ -774,6 +707,9 @@ int main(int argc, char** argv) {
     if (options.command == "rules") return cmd_rules(options);
     if (options.command == "faults") return cmd_faults(options);
     if (options.command == "scale") return cmd_scale(options);
+  } catch (const util::FlagError& error) {
+    std::cerr << "aar_sim " << options.command << ": " << error.what() << "\n";
+    return usage();
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;
